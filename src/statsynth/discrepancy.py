@@ -12,25 +12,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingSummary, UnitMismatch
-from .summaries import ContingencyTable, FrequencyTable, SummarySet
+from .summaries import SummarySet, proportions
 
 
-@dataclass(frozen=True)
-class CellGap:
-    label: str | tuple[str, ...]
-    real: float
-    synth: float
-    gap: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitDiscrepancy:
-    """TVD of one unit plus its per-cell attribution."""
+    """TVD of one unit plus its real and synth proportions, cell by cell.
+
+    real and synth are aligned flat arrays: a joint table is raveled.
+    """
 
     unit: str
     value: float
-    cells: tuple[CellGap, ...]
+    real: np.ndarray
+    synth: np.ndarray
     empty_synth: bool = False
+
+    @property
+    def cells(self) -> np.ndarray:
+        """Signed gap per cell, real minus synth."""
+        return self.real - self.synth
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,56 +45,38 @@ class DiscrepancyReport:
         return {**self.marginals, **self.joints}
 
 
-def tvd(p: FrequencyTable | ContingencyTable, q: FrequencyTable | ContingencyTable) -> float:
-    """Total variation distance 0.5 * sum |p - q| over matching cells."""
-    if isinstance(p, FrequencyTable) and isinstance(q, FrequencyTable):
-        if p.unit != q.unit:
-            raise UnitMismatch(f"cannot compare units {p.unit!r} and {q.unit!r}")
-        if p.labels != q.labels:
-            raise UnitMismatch(f"{p.unit!r}: cell labels disagree")
-        return 0.5 * float(np.abs(p.as_array() - q.as_array()).sum())
-    if isinstance(p, ContingencyTable) and isinstance(q, ContingencyTable):
-        if p.component != q.component:
-            raise UnitMismatch(
-                f"cannot compare components {p.component.id!r} and {q.component.id!r}")
-        keys = p.cells.keys() | q.cells.keys()
-        return 0.5 * sum(abs(p.proportion(k) - q.proportion(k)) for k in keys)
-    raise UnitMismatch("cannot compare tables of different shapes")
+def tvd(p: np.ndarray, q: np.ndarray) -> float:
+    """Total variation distance 0.5 * sum |p - q| over aligned cells."""
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    if p.shape != q.shape:
+        raise UnitMismatch(f"cannot compare tables of shapes {p.shape} and {q.shape}")
+    return 0.5 * float(np.abs(p - q).sum())
 
 
-def _marginal_unit(real: FrequencyTable, synth: FrequencyTable) -> UnitDiscrepancy:
-    if real.labels != synth.labels:
-        raise UnitMismatch(f"{real.unit!r}: cell labels disagree")
-    gaps = tuple(
-        CellGap(l, r, s, r - s)
-        for l, r, s in zip(real.labels, real.proportions, synth.proportions)
-    )
-    value = 1.0 if synth.empty else tvd(real, synth)
-    return UnitDiscrepancy(real.unit, value, gaps, empty_synth=synth.empty)
-
-
-def _joint_unit(real: ContingencyTable, synth: ContingencyTable) -> UnitDiscrepancy:
-    keys = sorted(real.cells.keys() | synth.cells.keys())
-    gaps = tuple(
-        CellGap(k, real.proportion(k), synth.proportion(k), real.proportion(k) - synth.proportion(k))
-        for k in keys
-    )
-    value = 1.0 if synth.empty else tvd(real, synth)
-    return UnitDiscrepancy(real.component.id, value, gaps, empty_synth=synth.empty)
+def _unit(name: str, real: np.ndarray, synth: np.ndarray,
+          n_real: int, n_synth: int) -> UnitDiscrepancy:
+    if real.shape != synth.shape:
+        raise UnitMismatch(f"{name!r}: cell layouts disagree")
+    p = proportions(real, n_real).ravel()
+    q = proportions(synth, n_synth).ravel()
+    value = 1.0 if n_synth == 0 else tvd(p, q)
+    return UnitDiscrepancy(name, value, p, q, empty_synth=n_synth == 0)
 
 
 def compute_report(real: SummarySet, synth: SummarySet) -> DiscrepancyReport:
     """Compare every unit of the real summary set against the synth one."""
+    if real.refined != synth.refined:
+        raise UnitMismatch("real and synth summaries refine different bins")
     marginals: dict[str, UnitDiscrepancy] = {}
     for name, table in real.marginals.items():
         if name not in synth.marginals:
             raise MissingSummary(f"synth summary lacks marginal {name!r}")
-        marginals[name] = _marginal_unit(table, synth.marginals[name])
+        marginals[name] = _unit(name, table, synth.marginals[name], real.n, synth.n)
     joints: dict[str, UnitDiscrepancy] = {}
-    for cid, table in real.joints.items():
-        if cid not in synth.joints:
-            raise MissingSummary(f"synth summary lacks joint {cid!r}")
-        joints[cid] = _joint_unit(table, synth.joints[cid])
+    for comp, table in real.joints.items():
+        if comp not in synth.joints:
+            raise MissingSummary(f"synth summary lacks joint {comp.id!r}")
+        joints[comp.id] = _unit(comp.id, table, synth.joints[comp], real.n, synth.n)
     values = [u.value for u in marginals.values()] + [u.value for u in joints.values()]
     mean = float(np.mean(values)) if values else 0.0
     return DiscrepancyReport(marginals, joints, mean)

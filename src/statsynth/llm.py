@@ -33,7 +33,7 @@ from .proposals import (
 )
 from .discrepancy import DiscrepancyReport
 from .schema import Discrete, VariableSchema, schema_to_json
-from .summaries import StructuralComponent, summary_payload
+from .summaries import StructuralComponent, occupied, summary_payload, unit_labels
 
 log = logging.getLogger(__name__)
 
@@ -91,26 +91,33 @@ def _dumps(doc: object) -> str:
     return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
 
 
-def report_payload(report: DiscrepancyReport, top_cells: int | None = None) -> dict:
-    """Report as JSON-ready dict; top_cells keeps only the largest gaps."""
+def report_payload(report: DiscrepancyReport, labels: dict[str, list],
+                   top_cells: int | None = None) -> dict:
+    """Report as JSON-ready dict; top_cells keeps only the largest gaps.
+
+    A marginal lists every cell, a joint the cells either side occupies.
+    """
     units = []
     for name, unit in report.units.items():
-        cells = list(unit.cells)
+        keys = labels[name]
+        gap = unit.cells
+        cells = (occupied(keys, unit.real, unit.synth) if name in report.joints
+                 else range(len(keys)))
         truncated = False
         if top_cells is not None and len(cells) > top_cells:
-            cells = sorted(cells, key=lambda c: (-abs(c.gap), str(c.label)))[:top_cells]
+            cells = sorted(cells, key=lambda i: (-abs(gap[i]), str(keys[i])))[:top_cells]
             truncated = True
         entry: dict = {
             "unit": name,
             "delta": unit.value,
             "cells": [
                 {
-                    "label": list(c.label) if isinstance(c.label, tuple) else c.label,
-                    "real": c.real,
-                    "synth": c.synth,
-                    "gap": c.gap,
+                    "label": list(keys[i]) if isinstance(keys[i], tuple) else keys[i],
+                    "real": float(unit.real[i]),
+                    "synth": float(unit.synth[i]),
+                    "gap": float(gap[i]),
                 }
-                for c in cells
+                for i in cells
             ],
         }
         if unit.empty_synth:
@@ -133,16 +140,17 @@ def render_prompt(template: str, ctx, budget: int = 40_000) -> list[dict]:
     largest gaps; if still too large, PromptTooLarge.
     """
     if template == "proposal":
+        labels = unit_labels(ctx.real_summaries, ctx.schema, ctx.bin_specs)
         stages = [
             {"include_detail": True, "top_cells": None},
             {"include_detail": False, "top_cells": None},
             {"include_detail": False, "top_cells": TOP_GAP_CELLS},
         ]
         for stage in stages:
-            summaries = summary_payload(ctx.real_summaries, stage["include_detail"])
+            summaries = summary_payload(ctx.real_summaries, labels, stage["include_detail"])
             if not stage["include_detail"]:
                 summaries["truncated_detail"] = True
-            report = report_payload(ctx.report, stage["top_cells"])
+            report = report_payload(ctx.report, labels, stage["top_cells"])
             user = _template("proposal_user").substitute(
                 schema=_dumps(schema_to_json(ctx.schema)),
                 summaries=_dumps(summaries),
@@ -163,7 +171,8 @@ def render_prompt(template: str, ctx, budget: int = 40_000) -> list[dict]:
         raise errors.PromptTooLarge(
             f"proposal prompt exceeds {budget} characters after truncation")
     if template == "copula":
-        summaries = {"marginals": summary_payload(ctx.real_marginals)["marginals"]}
+        labels = unit_labels(ctx.real_marginals, ctx.schema, ctx.bin_specs)
+        summaries = {"marginals": summary_payload(ctx.real_marginals, labels)["marginals"]}
         user = _template("copula_user").substitute(
             schema=_dumps(schema_to_json(ctx.schema)),
             summaries=_dumps(summaries),

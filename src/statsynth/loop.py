@@ -27,13 +27,17 @@ from .proposals import (
     ProposerContext,
     validate_proposal,
 )
-from .schema import Dataset, Record, VariableSchema, concat, load_csv, save_csv
+from .schema import Dataset, VariableSchema, concat, load_csv, save_csv
 from .summaries import (
     SummarySet,
     compute_summaries,
+    encode,
     evaluation_summaries,
     fit_all_bins,
+    occupied,
+    proportions,
     refine_all_bins,
+    unit_labels,
 )
 
 
@@ -44,8 +48,6 @@ class LoopConfig:
     batch_size: int = 200
     n_components: int = 3
     seed: int = 0
-    tolerance: float = 0.01
-    threshold: float = 0.05
     n_bins: int = 6
     full_metrics_every: int = 10
     cache_components: bool = False
@@ -57,8 +59,6 @@ class LoopConfig:
             raise errors.ConfigError("proposals_per_iter must be >= 1")
         if self.batch_size < self.proposals_per_iter:
             raise errors.ConfigError("batch_size must be >= proposals_per_iter")
-        if not 0 < self.tolerance < self.threshold:
-            raise errors.ConfigError("tolerance must lie in (0, threshold)")
         if self.n_components < 1:
             raise errors.ConfigError("n_components must be >= 1")
         if self.seed < 0:
@@ -87,28 +87,24 @@ def _iteration_seed(seed: int, t: int, purpose: int) -> int:
 # sampling
 
 
-def sample_from_proposal(proposal: Proposal, schema: VariableSchema,
-                         rng: np.random.Generator) -> list[Record]:
-    """Exactly proposal.num records: categories verbatim, ranges uniform."""
-    columns = []
-    for name in schema.names:
-        a = proposal.assignments[name]
-        if isinstance(a, FixedCategory):
-            columns.append([a.value] * proposal.num)
-        elif a.lo == a.hi:
-            columns.append([a.lo] * proposal.num)
-        else:
-            columns.append(rng.uniform(a.lo, a.hi, size=proposal.num).tolist())
-    return [Record(tuple(col[i] for col in columns)) for i in range(proposal.num)]
-
-
 def sample_batch(schema: VariableSchema, proposals: list[Proposal],
                  rng: np.random.Generator) -> Dataset:
-    """All proposals realized in order (deterministic merge)."""
-    records: list[Record] = []
+    """Exactly p.num records per proposal, in proposal order.
+
+    Categories are taken verbatim, ranges drawn uniformly. Proposals must
+    already be validated: the columns go into the dataset unchecked.
+    """
+    columns: list[list[np.ndarray]] = [[] for _ in schema]
     for p in proposals:
-        records.extend(sample_from_proposal(p, schema, rng))
-    return Dataset.from_records(schema, records)
+        for part, var in zip(columns, schema):
+            a = p.assignments[var.name]
+            if isinstance(a, FixedCategory):
+                part.append(np.full(p.num, var.kind.categories.index(a.value), dtype=np.int64))
+            elif a.lo == a.hi:
+                part.append(np.full(p.num, a.lo, dtype=np.float64))
+            else:
+                part.append(rng.uniform(a.lo, a.hi, size=p.num))
+    return Dataset._from_coded(schema, [np.concatenate(part) for part in columns])
 
 
 def _check_batch(proposals: list[Proposal], schema: VariableSchema, batch_size: int) -> None:
@@ -140,7 +136,7 @@ def _atomic_write(path: Path, data: str) -> None:
 
 
 _ECHO_FIELDS = ("proposals_per_iter", "batch_size", "n_components", "seed",
-                "tolerance", "threshold", "n_bins", "cache_components")
+                "n_bins", "cache_components")
 
 
 def checkpoint(state: LoopState, directory: str | Path, cfg: LoopConfig) -> None:
@@ -263,24 +259,18 @@ class _Outputs:
 
 
 def _identity_row(t: int, before: SummarySet, batch: SummarySet,
-                  after: SummarySet) -> dict:
+                  after: SummarySet, labels: dict[str, list]) -> dict:
+    sets = {"pool_before": before, "batch": batch, "pool_after": after}
     units: dict[str, dict] = {}
-    for name, table in after.marginals.items():
-        units[name] = {
-            "labels": list(table.labels),
-            "pool_before": list(before.marginals[name].proportions),
-            "batch": list(batch.marginals[name].proportions),
-            "pool_after": list(table.proportions),
-        }
-    for cid, table in after.joints.items():
-        keys = sorted(set(before.joints[cid].cells)
-                      | set(batch.joints[cid].cells) | set(table.cells))
-        units[cid] = {
-            "labels": [list(k) for k in keys],
-            "pool_before": [before.joints[cid].proportion(k) for k in keys],
-            "batch": [batch.joints[cid].proportion(k) for k in keys],
-            "pool_after": [table.proportion(k) for k in keys],
-        }
+    for name in after.marginals:
+        units[name] = {"labels": labels[name], **{
+            key: proportions(s.marginals[name], s.n).tolist() for key, s in sets.items()}}
+    for comp in after.joints:
+        keys = labels[comp.id]
+        cells = occupied(keys, *(s.joints[comp] for s in sets.values()))
+        units[comp.id] = {"labels": [list(keys[i]) for i in cells], **{
+            key: proportions(s.joints[comp], s.n).ravel()[cells].tolist()
+            for key, s in sets.items()}}
     return {"iteration": t, "w": 1.0 / t, "units": units}
 
 
@@ -316,20 +306,22 @@ def run(
     elif outputs is not None:
         outputs.reset()
 
-    base = fit_all_bins(real, cfg.n_bins)
-    real_marginals = compute_summaries(real, base)
+    specs = fit_all_bins(real, cfg.n_bins)
+    real_codes = encode(real, specs)
+    pool_codes = encode(state.pool, specs)
+    real_marginals = compute_summaries(real_codes, specs)
     components = None
     for t in range(state.iteration + 1, cfg.iterations + 1):
         if components is None or not cfg.cache_components:
             components = proposer.infer_components(ComponentContext(
-                schema, real, real_marginals, base,
+                schema, real, real_marginals, specs,
                 n_components=cfg.n_components,
                 seed=_iteration_seed(cfg.seed, t, 1),
                 batch_size=cfg.batch_size,
             ))
-        specs = refine_all_bins(base, real, state.pool)
-        real_sum = compute_summaries(real, specs, components)
-        pool_sum = compute_summaries(state.pool, specs, components)
+        refined = refine_all_bins(specs, real_codes, pool_codes)
+        real_sum = compute_summaries(real_codes, specs, components, refined)
+        pool_sum = compute_summaries(pool_codes, specs, components, refined)
         steering = compute_report(real_sum, pool_sum)
         proposals = proposer.propose(ProposerContext(
             schema=schema,
@@ -342,14 +334,16 @@ def run(
             bin_specs=specs,
             seed=_iteration_seed(cfg.seed, t, 5),
             guidance=guidance,
-            real_data=real,
+            real_codes=real_codes,
         ))
         _check_batch(proposals, schema, cfg.batch_size)
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, t, 6)))
         batch = sample_batch(schema, proposals, rng)
+        batch_codes = encode(batch, specs)
         pool = concat(state.pool, batch)
+        pool_codes = pool_codes.append(batch_codes)
 
-        real_eval, pool_eval, _ = evaluation_summaries(real, pool, components, cfg.n_bins)
+        real_eval, pool_eval = evaluation_summaries(real_codes, pool_codes, specs, components)
         reported = compute_report(real_eval, pool_eval)
         row: dict = {
             "iteration": t,
@@ -366,10 +360,11 @@ def run(
         state.report = reported
 
         if outputs is not None:
-            batch_sum = compute_summaries(batch, specs, components)
-            after_sum = compute_summaries(pool, specs, components)
+            batch_sum = compute_summaries(batch_codes, specs, components, refined)
+            after_sum = compute_summaries(pool_codes, specs, components, refined)
             outputs.append_metrics(row)
-            outputs.append_identity(_identity_row(t, pool_sum, batch_sum, after_sum))
+            outputs.append_identity(_identity_row(
+                t, pool_sum, batch_sum, after_sum, unit_labels(pool_sum, schema, specs)))
             outputs.rewrite_derived(state.history)
         state.pool = pool
         state.iteration = t

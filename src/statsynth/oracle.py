@@ -30,14 +30,17 @@ import numpy as np
 from . import errors
 from .discrepancy import DiscrepancyReport
 from .proposals import ComponentContext, FixedCategory, Proposal, ProposerContext, Range
-from .schema import Continuous, Dataset, Discrete, VariableSchema
+from .schema import Continuous, Discrete
 from .summaries import (
-    BinSpec,
-    ContingencyTable,
+    SUB_BINS,
+    Codes,
     StructuralComponent,
-    SummarySet,
+    encode,
+    joint_counts,
+    main_codes,
+    occupied,
     sub_detail,
-    summarize_joint,
+    unit_labels,
 )
 
 
@@ -139,24 +142,17 @@ def _transport_round(
 # dependency inference: pairwise mutual information on main-bin tables
 
 
-def _grouped_mi(table: ContingencyTable, n_left: int) -> float:
+def _grouped_mi(counts: np.ndarray, n_left: int) -> float:
     """MI between the first n_left axes (jointly) and the remaining axes."""
-    left: dict[tuple, float] = {}
-    right: dict[tuple, float] = {}
-    for key, p in table.cells.items():
-        left[key[:n_left]] = left.get(key[:n_left], 0.0) + p
-        right[key[n_left:]] = right.get(key[n_left:], 0.0) + p
-    mi = 0.0
-    for key, p in table.cells.items():
-        if p > 0.0:
-            mi += p * math.log(p / (left[key[:n_left]] * right[key[n_left:]]))
-    return max(0.0, mi)
+    p = counts.reshape(math.prod(counts.shape[:n_left]), -1) / counts.sum()
+    outer = np.outer(p.sum(axis=1), p.sum(axis=0))
+    nz = p > 0.0
+    return max(0.0, float(np.sum(p[nz] * np.log(p[nz] / outer[nz]))))
 
 
-def pairwise_mi(data: Dataset, a: str, b: str, specs) -> float:
+def pairwise_mi(codes: Codes, a: str, b: str, specs) -> float:
     """Empirical mutual information of two variables at main-bin resolution."""
-    table = summarize_joint(data, StructuralComponent((a, b)), specs)
-    return _grouped_mi(table, 1)
+    return _grouped_mi(joint_counts(codes, specs, (a, b)), 1)
 
 
 def _table_cells(ctx: ComponentContext, variables) -> int:
@@ -187,11 +183,12 @@ def infer_components(ctx: ComponentContext) -> list[StructuralComponent]:
     names = list(ctx.schema.names)
     if len(names) < 2:
         raise errors.TooFewVariables("need at least 2 variables to infer components")
+    codes = encode(ctx.real_data, ctx.bin_specs)
     scored: list[tuple[float, str, StructuralComponent]] = []
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
             comp = StructuralComponent((names[i], names[j]))
-            mi = pairwise_mi(ctx.real_data, names[i], names[j], ctx.bin_specs)
+            mi = pairwise_mi(codes, names[i], names[j], ctx.bin_specs)
             scored.append((mi, comp.id, comp))
     scored.sort(key=lambda t: (-t[0], t[1]))
     cap = ctx.batch_size // 2 if ctx.batch_size is not None else None
@@ -205,12 +202,13 @@ def infer_components(ctx: ComponentContext) -> list[StructuralComponent]:
             continue
         if any(set(pair.variables) <= set(c.variables) for c in chosen):
             continue
-        chosen.append(_grow(ctx, pair, mi, cap))
+        chosen.append(_grow(ctx, codes, pair, mi, cap))
     return chosen
 
 
 def _grow(
-    ctx: ComponentContext, pair: StructuralComponent, pair_mi: float, cap: int | None = None,
+    ctx: ComponentContext, codes: Codes, pair: StructuralComponent, pair_mi: float,
+    cap: int | None = None,
 ) -> StructuralComponent:
     current = list(pair.variables)
     while len(current) < 4:
@@ -220,8 +218,7 @@ def _grow(
                 continue
             if cap is not None and _table_cells(ctx, tuple(current) + (x,)) > cap:
                 continue
-            table = summarize_joint(
-                ctx.real_data, StructuralComponent(tuple(current) + (x,)), ctx.bin_specs)
+            table = joint_counts(codes, ctx.bin_specs, tuple(current) + (x,))
             mi = _grouped_mi(table, len(current))
             if mi >= 0.5 * pair_mi - 1e-12 and mi > best_mi + 1e-12:
                 best_var, best_mi = x, mi
@@ -238,48 +235,34 @@ def _grow(
 class _Group:
     """A set of interchangeable batch slots sharing one partial assignment."""
 
-    __slots__ = ("assigns", "labels", "codes", "count")
+    __slots__ = ("assigns", "codes", "count")
 
-    def __init__(self, assigns, labels, codes, count):
+    def __init__(self, assigns, codes, count):
         self.assigns: dict[str, object] = assigns
-        self.labels: dict[str, str] = labels
-        self.codes: dict[str, int] = codes
+        self.codes: dict[str, int] = codes      # main-bin or category code
         self.count: int = count
 
 
 class _Lattice:
     """Occupied cells of the real dataset at main-bin resolution."""
 
-    __slots__ = ("codes", "weights", "labels", "pos")
+    __slots__ = ("codes", "weights", "dims", "pos")
 
-    def __init__(self, codes, weights, labels, pos):
+    def __init__(self, codes, weights, dims, pos):
         self.codes: np.ndarray = codes          # (n_occupied, n_vars) int64
         self.weights: np.ndarray = weights      # (n_occupied,) sums to 1
-        self.labels: tuple[tuple[str, ...], ...] = labels
+        self.dims: tuple[int, ...] = dims
         self.pos: dict[str, int] = pos
 
 
 def _real_lattice(ctx: ProposerContext) -> _Lattice:
-    data = ctx.real_data
-    cols = []
-    labels = []
-    for v in data.schema:
-        if isinstance(v.kind, Discrete):
-            cols.append(np.asarray(data.codes(v.name), dtype=np.int64))
-            labels.append(tuple(v.kind.categories))
-        else:
-            spec = ctx.bin_specs[v.name]
-            if spec is None:
-                raise errors.MissingBinSpec(f"continuous variable {v.name!r} has no bin spec")
-            cols.append(np.asarray(spec.assign_main(data.column(v.name)), dtype=np.int64))
-            labels.append(spec.main_labels())
-    dims = tuple(len(l) for l in labels)
-    flat = np.ravel_multi_index(tuple(cols), dims)
+    names = ctx.schema.names
+    cols, dims = zip(*(main_codes(ctx.real_codes, ctx.bin_specs, name) for name in names))
+    flat = np.ravel_multi_index(cols, dims)
     uniq, counts = np.unique(flat, return_counts=True)
     codes = np.stack(np.unravel_index(uniq, dims), axis=1).astype(np.int64)
-    weights = counts.astype(float) / float(len(data))
-    return _Lattice(codes, weights, tuple(labels),
-                    {name: i for i, name in enumerate(data.schema.names)})
+    weights = counts.astype(float) / float(len(ctx.real_codes))
+    return _Lattice(codes, weights, dims, {name: i for i, name in enumerate(names)})
 
 
 def _pick_target(report: DiscrepancyReport) -> str:
@@ -302,39 +285,29 @@ def _unit_constraints(
     cons: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     sub_rows: dict[str, tuple[int, np.ndarray]] = {}
     for name, unit in ctx.report.marginals.items():
-        r = np.array([c.real for c in unit.cells])
-        s = np.array([c.synth for c in unit.cells])
-        h, _ = ideal_batch_histogram(r, s, ctx.pool_size, ctx.batch_size)
-        idx = lattice.codes[:, lattice.pos[name]]
-        if isinstance(ctx.schema.kind(name), Discrete):
-            cons[name] = (h, idx)
-            continue
-        spec = ctx.bin_specs[name]
-        cells = spec.cells()
-        if len(cells) != len(h):
-            raise errors.UnitMismatch(
-                f"{name!r}: report has {len(h)} cells, spec has {len(cells)}")
-        target = np.zeros(spec.n_main)
-        for cell, p in zip(cells, h):
-            target[cell.main_index] += p
-        if spec.refined is not None:
-            row = np.array([p for cell, p in zip(cells, h) if cell.detail])
+        h, _ = ideal_batch_histogram(unit.real, unit.synth, ctx.pool_size, ctx.batch_size)
+        r = ctx.real_summaries.refined.get(name)
+        if r is not None:
+            row = h[r:r + SUB_BINS]
             if row.sum() > 0.0:
-                sub_rows[name] = (spec.refined.main_index, row / row.sum())
-        cons[name] = (target, idx)
+                sub_rows[name] = (r, row / row.sum())
+            # summed in sequence, not pairwise: this sum also decides last bits
+            h = np.concatenate([h[:r], np.cumsum(row)[-1:], h[r + SUB_BINS:]])
+        cons[name] = (h, lattice.codes[:, lattice.pos[name]])
+    labels = unit_labels(ctx.real_summaries, ctx.schema, ctx.bin_specs)
     for cid, unit in ctx.report.joints.items():
         comp = next(c for c in ctx.components if c.id == cid)
-        r = np.array([c.real for c in unit.cells])
-        s = np.array([c.synth for c in unit.cells])
-        h, _ = ideal_batch_histogram(r, s, ctx.pool_size, ctx.batch_size)
-        index = {tuple(c.label): i for i, c in enumerate(unit.cells)}
-        vcols = [lattice.pos[v] for v in comp.variables]
-        idx = np.empty(len(lattice.codes), dtype=np.int64)
-        target = np.append(h, 0.0)  # spare slot for keys outside the report
-        for i, row in enumerate(lattice.codes):
-            key = tuple(lattice.labels[c][row[c]] for c in vcols)
-            idx[i] = index.get(key, len(h))
-        cons[cid] = (target, idx)
+        # the target's normalising sum depends on summation order in its last
+        # bit, which integer rounding can amplify: sum over the occupied cells
+        # in label order, the order the report payload lists them in
+        cells = occupied(labels[cid], unit.real, unit.synth)
+        h = np.zeros(unit.real.size)
+        h[cells] = ideal_batch_histogram(
+            unit.real[cells], unit.synth[cells], ctx.pool_size, ctx.batch_size)[0]
+        axes = [lattice.pos[v] for v in comp.variables]
+        idx = np.ravel_multi_index(tuple(lattice.codes[:, a] for a in axes),
+                                   tuple(lattice.dims[a] for a in axes))
+        cons[cid] = (h, idx)
     return cons, sub_rows
 
 
@@ -392,14 +365,14 @@ class OracleProposer:
         return infer_components(ctx)
 
     def propose(self, ctx: ProposerContext) -> list[Proposal]:
-        if ctx.real_data is None:
-            raise errors.ConfigError("oracle needs real_data for batch composition")
+        if ctx.real_codes is None:
+            raise errors.ConfigError("oracle needs real_codes for batch composition")
         rng = np.random.default_rng(ctx.seed)
         target = _pick_target(ctx.report)
         lattice = _real_lattice(ctx)
         cons, sub_rows = _unit_constraints(ctx, lattice)
         w = _ipf(lattice, cons, target)
-        groups = [_Group({}, {}, {}, ctx.batch_size)]
+        groups = [_Group({}, {}, ctx.batch_size)]
         for var in _var_order(ctx, target):
             groups = self._fill_variable(ctx, lattice, w, groups, var, rng)
         for var in ctx.schema.names:
@@ -411,15 +384,14 @@ class OracleProposer:
 
     def _fill_variable(self, ctx, lattice: _Lattice, w, groups, var, rng) -> list[_Group]:
         col = lattice.pos[var]
-        labels_v = lattice.labels[col]
-        n_labels = len(labels_v)
+        n_labels = lattice.dims[col]
         marg = np.bincount(lattice.codes[:, col], weights=w, minlength=n_labels)
         rows = np.array([g.count for g in groups], dtype=np.int64)
         cols = _apportion(marg, int(rows.sum()), rng)
         assigned = list(groups[0].codes)
         if assigned:
             acols = [lattice.pos[v] for v in assigned]
-            dims = tuple(len(lattice.labels[c]) for c in acols)
+            dims = tuple(lattice.dims[c] for c in acols)
             cell_keys = np.ravel_multi_index(tuple(lattice.codes[:, c] for c in acols), dims)
             sort_idx = np.argsort(cell_keys, kind="stable")
             sorted_keys = cell_keys[sort_idx]
@@ -439,35 +411,28 @@ class OracleProposer:
             base = marg / marg.sum() if marg.sum() > 0 else np.full(n_labels, 1.0 / n_labels)
             p_matrix = np.tile(base, (len(groups), 1))
         alloc = _transport_round(p_matrix * rows[:, None], rows, cols, rng)
-        ranges = None
-        if isinstance(ctx.schema.kind(var), Continuous):
-            spec = ctx.bin_specs[var]
-            ranges = list(zip(spec.edges, spec.edges[1:]))
+        # a continuous variable gets its range from the sub-split stage
+        kind = ctx.schema.kind(var)
         out: list[_Group] = []
         for gi, g in enumerate(groups):
             for li in np.flatnonzero(alloc[gi]):
-                if ranges is not None:
-                    value: object = Range(float(ranges[li][0]), float(ranges[li][1]))
-                else:
-                    value = FixedCategory(labels_v[li])
-                out.append(_Group({**g.assigns, var: value},
-                                  {**g.labels, var: labels_v[li]},
-                                  {**g.codes, var: int(li)},
-                                  int(alloc[gi, li])))
+                assigns = g.assigns
+                if isinstance(kind, Discrete):
+                    assigns = {**assigns, var: FixedCategory(kind.categories[li])}
+                out.append(_Group(assigns, {**g.codes, var: int(li)}, int(alloc[gi, li])))
         return out
 
     # -- sub-bin resolution ----------------------------------------------------
 
     def _sub_split(self, ctx, groups, var, corrective, rng) -> list[_Group]:
         spec = ctx.bin_specs[var]
-        detail = np.array(sub_detail(ctx.real_data, spec), dtype=float)
+        detail = sub_detail(ctx.real_codes, spec)
         if corrective is not None:
             bin_i, row = corrective
             detail[bin_i] = row
-        main_index = {label: i for i, label in enumerate(spec.main_labels())}
         by_bin: dict[int, list[_Group]] = {}
         for g in groups:
-            by_bin.setdefault(main_index[g.labels[var]], []).append(g)
+            by_bin.setdefault(g.codes[var], []).append(g)
         out: list[_Group] = []
         for i in sorted(by_bin):
             members = by_bin[i]
@@ -475,12 +440,12 @@ class OracleProposer:
             cols = _apportion(detail[i], int(rows.sum()), rng)
             p_matrix = np.tile(detail[i], (len(members), 1))
             alloc = _transport_round(p_matrix * rows[:, None], rows, cols, rng)
-            edges = np.linspace(spec.edges[i], spec.edges[i + 1], 9)
+            edges = spec.sub_edges(i)
             for gi, g in enumerate(members):
                 for j in np.flatnonzero(alloc[gi]):
                     out.append(_Group(
                         {**g.assigns, var: Range(float(edges[j]), float(edges[j + 1]))},
-                        g.labels, g.codes, int(alloc[gi, j])))
+                        g.codes, int(alloc[gi, j])))
         return out
 
 
@@ -512,30 +477,3 @@ def _merge_groups(groups: list[_Group], target: str) -> list[Proposal]:
         for key, (assigns, count) in sorted(merged.items(), key=lambda kv: kv[0])
     ]
 
-
-def oracle_allocate(
-    report: DiscrepancyReport,
-    real_summaries: SummarySet,
-    batch_size: int,
-    *,
-    schema: VariableSchema,
-    bin_specs: dict[str, BinSpec | None] | None = None,
-    pool_size: int = 0,
-    components: tuple[StructuralComponent, ...] = (),
-    seed: int = 0,
-    real_data: Dataset | None = None,
-) -> list[Proposal]:
-    """One oracle batch allocation outside the loop (mainly for tests)."""
-    ctx = ProposerContext(
-        schema=schema,
-        real_summaries=real_summaries,
-        report=report,
-        components=tuple(components),
-        k=1,
-        batch_size=batch_size,
-        pool_size=pool_size,
-        bin_specs=bin_specs or {},
-        seed=seed,
-        real_data=real_data,
-    )
-    return OracleProposer().propose(ctx)

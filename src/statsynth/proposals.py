@@ -15,7 +15,7 @@ from typing import Protocol, Union
 from . import errors
 from .discrepancy import DiscrepancyReport
 from .schema import Dataset, Discrete, VariableSchema
-from .summaries import BinSpec, StructuralComponent, SummarySet
+from .summaries import BinSpec, Codes, StructuralComponent, SummarySet
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,10 @@ class ProposerContext:
     """Everything a proposer may consult when generating one iteration's batch.
 
     pool_size is the cumulative pool BEFORE this iteration's batch; the
-    report compares real summaries against that same pool. real_data is
-    consulted by the oracle for within-bin composition; LLM proposers see
-    only the serialized summaries.
+    report compares real summaries against that same pool. real_codes, the
+    real records binned onto the grid of bin_specs, is consulted by the
+    oracle for the joint lattice and within-bin composition; LLM proposers
+    see only the serialized summaries.
     """
 
     schema: VariableSchema
@@ -98,7 +99,7 @@ class ProposerContext:
     bin_specs: dict[str, BinSpec | None]
     seed: int
     guidance: str = ""
-    real_data: Dataset | None = None
+    real_codes: Codes | None = None
 
     def __post_init__(self) -> None:
         if self.k < 1:

@@ -1,19 +1,27 @@
-"""Summary-statistics space: quantile bins, frequency and contingency tables.
+"""Summary-statistics space: a fixed bin grid and integer count tables.
 
 Continuous variables are described by six main bins whose edges sit at the
 0, 1/6, ..., 6/6 empirical quantiles of the real data (order statistics with
-linear interpolation). One main bin may carry a refinement of eight
-equal-width sub-bins; marginal tables then report the sub-bins in place of
-the parent, scaled so they sum to the parent's share. Joint tables always
-stay at main-bin resolution.
+linear interpolation); tied quantiles merge bins. Inside main bin i the eight
+sub-bin edges are linspace(e_i, e_{i+1}, 9). Edges are fitted once, on the
+real data, so the grid is fixed for a whole run: every record is binned once,
+a continuous value to its fine code 8*main + sub, a discrete value to its
+category code. Intervals are half-open [lo, hi) with the final one closed;
+values outside the fitted range clip into the first or last bin.
 
-Bin intervals are half-open [e_i, e_{i+1}) with the final bin closed;
-values outside the fitted range are clipped into the first or last bin.
+Every table is an integer count array over that grid, read with the row
+count n as proportions count / n. A marginal has one axis: category counts,
+or main-bin counts of a continuous variable in which one refined main bin
+may be replaced by its eight sub-bin counts. A joint table over a component
+has one axis per variable, at main-bin or category resolution. String labels
+are attached only where tables are written out as JSON.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import itertools
+import math
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,112 +34,43 @@ from .errors import (
     SchemaError,
     UnitMismatch,
 )
-from .schema import Continuous, Dataset, Discrete
+from .schema import Continuous, Dataset, Discrete, VariableSchema
 
-
-@dataclass(frozen=True)
-class RefinedBin:
-    """Eight equal-width sub-bins inside main bin ``main_index``."""
-
-    main_index: int
-    sub_edges: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.sub_edges) != 9:
-            raise SchemaError(f"expected 9 sub-edges, got {len(self.sub_edges)}")
-
-
-@dataclass(frozen=True)
-class BinCell:
-    """One table cell of a binned continuous variable."""
-
-    label: str
-    lo: float
-    hi: float
-    closed_right: bool
-    detail: bool
-    main_index: int
-    sub_index: int | None = None
-
-
-def _interval_label(prefix: str, lo: float, hi: float, closed: bool) -> str:
-    right = "]" if closed else ")"
-    return f"{prefix}:[{float(lo)!r},{float(hi)!r}{right}"
+SUB_BINS = 8
 
 
 @dataclass(frozen=True)
 class BinSpec:
-    """Binning of one continuous variable; edges strictly increasing."""
+    """Main-bin edges of one continuous variable; strictly increasing."""
 
     variable: str
     edges: tuple[float, ...]
-    requested: int = 6
-    refined: RefinedBin | None = None
 
     def __post_init__(self) -> None:
         if len(self.edges) < 2:
             raise DegenerateBins(f"{self.variable!r}: need at least 2 edges")
         if any(b <= a for a, b in zip(self.edges, self.edges[1:])):
             raise SchemaError(f"{self.variable!r}: edges must be strictly increasing")
-        if self.refined is not None and not (0 <= self.refined.main_index < self.n_main):
-            raise SchemaError(f"{self.variable!r}: refined index out of range")
 
     @property
     def n_main(self) -> int:
         return len(self.edges) - 1
 
-    @property
-    def merged(self) -> bool:
-        """True when tied quantiles reduced the bin count below requested."""
-        return self.n_main < self.requested
+    def sub_edges(self, i: int) -> np.ndarray:
+        """The nine edges of the equal-width sub-bins of main bin i."""
+        return np.linspace(self.edges[i], self.edges[i + 1], SUB_BINS + 1)
 
-    def main_labels(self) -> tuple[str, ...]:
-        out = []
-        for i in range(self.n_main):
-            closed = i == self.n_main - 1
-            out.append(_interval_label(f"bin{i}", self.edges[i], self.edges[i + 1], closed))
-        return tuple(out)
+    def fine_codes(self, values: np.ndarray) -> np.ndarray:
+        """Fine code 8*main + sub per value.
 
-    def cells(self) -> tuple[BinCell, ...]:
-        """Table cells in interval order; sub-bins replace the refined parent."""
-        out: list[BinCell] = []
-        for i in range(self.n_main):
-            last_main = i == self.n_main - 1
-            if self.refined is not None and i == self.refined.main_index:
-                se = self.refined.sub_edges
-                for j in range(8):
-                    closed = last_main and j == 7
-                    out.append(BinCell(
-                        _interval_label(f"bin{i}.{j}", se[j], se[j + 1], closed),
-                        float(se[j]), float(se[j + 1]), closed, True, i, j))
-            else:
-                out.append(BinCell(
-                    _interval_label(f"bin{i}", self.edges[i], self.edges[i + 1], last_main),
-                    float(self.edges[i]), float(self.edges[i + 1]), last_main, False, i))
-        return tuple(out)
-
-    def assign_main(self, values: np.ndarray) -> np.ndarray:
-        """Main-bin index per value; out-of-range values clip into end bins."""
-        edges = np.asarray(self.edges)
-        idx = np.searchsorted(edges, values, side="right") - 1
-        return np.clip(idx, 0, self.n_main - 1).astype(np.int64)
-
-    def assign(self, values: np.ndarray) -> np.ndarray:
-        """Cell index per value, aligned with cells() order."""
-        main = self.assign_main(values)
-        if self.refined is None:
-            return main
-        r = self.refined.main_index
-        cell = np.where(main > r, main + 7, main)
-        inside = main == r
-        if inside.any():
-            sub = np.searchsorted(np.asarray(self.refined.sub_edges), values[inside], side="right") - 1
-            cell[inside] = r + np.clip(sub, 0, 7)
-        return cell.astype(np.int64)
-
-    @property
-    def n_cells(self) -> int:
-        return self.n_main + (7 if self.refined is not None else 0)
+        One search over every bin's sub-edges: the first eight of each main
+        bin, then the last main edge. Main edge e_i is sub-edge 0 of bin i, so
+        the code's main part is the main bin an edge search would give.
+        """
+        grid = np.concatenate([self.sub_edges(i)[:-1] for i in range(self.n_main)]
+                              + [np.asarray(self.edges[-1:])])
+        idx = np.searchsorted(grid, values, side="right") - 1
+        return np.clip(idx, 0, SUB_BINS * self.n_main - 1).astype(np.int64)
 
 
 def fit_bins(real: Dataset, variable: str, bins: int = 6) -> BinSpec:
@@ -147,37 +86,15 @@ def fit_bins(real: Dataset, variable: str, bins: int = 6) -> BinSpec:
     unique = np.unique(edges)
     if len(unique) < 2:
         raise DegenerateBins(f"{variable!r}: all quantile edges coincide at {unique[0]!r}")
-    return BinSpec(variable, tuple(float(e) for e in unique), requested=bins)
+    return BinSpec(variable, tuple(float(e) for e in unique))
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
-    """Proportions over the cells of one unit (a single variable)."""
-
-    unit: str
-    labels: tuple[str, ...]
-    proportions: tuple[float, ...]
-    detail: tuple[bool, ...] | None = None
-    empty: bool = False
-
-    def __post_init__(self) -> None:
-        if len(self.labels) != len(self.proportions):
-            raise SchemaError(f"{self.unit!r}: labels and proportions disagree in length")
-        if self.detail is not None and len(self.detail) != len(self.labels):
-            raise SchemaError(f"{self.unit!r}: detail flags disagree in length")
-        if len(set(self.labels)) != len(self.labels):
-            raise SchemaError(f"{self.unit!r}: duplicate cell labels")
-        if any(p < 0 for p in self.proportions):
-            raise SchemaError(f"{self.unit!r}: negative proportion")
-        total = sum(self.proportions)
-        if self.empty:
-            if total != 0.0:
-                raise SchemaError(f"{self.unit!r}: empty table must be all-zero")
-        elif abs(total - 1.0) > 1e-9:
-            raise SchemaError(f"{self.unit!r}: proportions sum to {total}, not 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.proportions, dtype=np.float64)
+def fit_all_bins(real: Dataset, bins: int = 6) -> dict[str, BinSpec | None]:
+    """Main-bin specs for every continuous variable (None for discrete)."""
+    return {
+        v.name: fit_bins(real, v.name, bins) if isinstance(v.kind, Continuous) else None
+        for v in real.schema
+    }
 
 
 @dataclass(frozen=True)
@@ -197,148 +114,104 @@ class StructuralComponent:
         return "+".join(self.variables)
 
 
+# ---------------------------------------------------------------------------
+# records on the grid
+
+
 @dataclass(frozen=True, eq=False)
-class ContingencyTable:
-    """Joint proportions over main-bin / category cells of a component.
+class Codes:
+    """Records binned onto the grid: one int64 code column per variable.
 
-    Only occupied cells are stored; absent cells mean proportion zero.
+    A discrete column holds category codes, a continuous one fine codes.
     """
 
-    component: StructuralComponent
-    axis_labels: tuple[tuple[str, ...], ...]
-    cells: dict[tuple[str, ...], float]
-    empty: bool = False
+    schema: VariableSchema
+    columns: tuple[np.ndarray, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.axis_labels) != len(self.component.variables):
-            raise SchemaError(f"{self.component.id!r}: one label axis per variable required")
-        arity = len(self.component.variables)
-        for key, value in self.cells.items():
-            if len(key) != arity:
-                raise SchemaError(f"{self.component.id!r}: cell key {key} has wrong arity")
-            if value < 0:
-                raise SchemaError(f"{self.component.id!r}: negative proportion at {key}")
-        total = sum(self.cells.values())
-        if self.empty:
-            if total != 0.0:
-                raise SchemaError(f"{self.component.id!r}: empty table must have no mass")
-        elif abs(total - 1.0) > 1e-9:
-            raise SchemaError(f"{self.component.id!r}: proportions sum to {total}, not 1")
+    def __len__(self) -> int:
+        return len(self.columns[0])
 
-    def proportion(self, key: tuple[str, ...]) -> float:
-        return self.cells.get(key, 0.0)
+    @property
+    def n_records(self) -> int:
+        return len(self)
+
+    def column(self, name: str) -> np.ndarray:
+        return self.columns[self.schema.index(name)]
+
+    def append(self, other: Codes) -> Codes:
+        return Codes(self.schema, tuple(
+            np.concatenate([a, b]) for a, b in zip(self.columns, other.columns)))
 
 
-def summarize_marginal(data: Dataset, variable: str, spec: BinSpec | None = None) -> FrequencyTable:
-    """Frequency table of one variable; spec is required iff it is continuous."""
-    kind = data.schema.kind(variable)
-    n = len(data)
-    if isinstance(kind, Discrete):
-        labels = kind.categories
-        detail = None
-        if n == 0:
-            return FrequencyTable(variable, labels, (0.0,) * len(labels), None, empty=True)
-        counts = np.bincount(data.codes(variable), minlength=len(labels))
-    else:
-        if spec is None:
-            raise MissingBinSpec(f"continuous variable {variable!r} needs a BinSpec")
-        if spec.variable != variable:
-            raise UnitMismatch(f"spec is for {spec.variable!r}, not {variable!r}")
-        cells = spec.cells()
-        labels = tuple(c.label for c in cells)
-        detail = tuple(c.detail for c in cells)
-        if not any(detail):
-            detail = None
-        if n == 0:
-            return FrequencyTable(variable, labels, (0.0,) * len(labels), detail, empty=True)
-        counts = np.bincount(spec.assign(data.codes(variable)), minlength=len(labels))
-    props = tuple(float(c) / n for c in counts)
-    return FrequencyTable(variable, labels, props, detail)
+def encode(data: Dataset, specs: Mapping[str, BinSpec | None]) -> Codes:
+    """Bin every record of data onto the grid of specs."""
+    columns = []
+    for name, col in zip(data.schema.names, data.columns):
+        spec = _spec(data.schema, specs, name)
+        columns.append(col if spec is None else spec.fine_codes(col))
+    return Codes(data.schema, tuple(columns))
 
 
-def summarize_joint(
-    data: Dataset,
-    component: StructuralComponent,
-    specs: Mapping[str, BinSpec | None],
-) -> ContingencyTable:
-    """Contingency table over a component, at main-bin resolution."""
-    axis_labels: list[tuple[str, ...]] = []
-    index_cols: list[np.ndarray] = []
-    for name in component.variables:
-        kind = data.schema.kind(name)
-        if isinstance(kind, Discrete):
-            axis_labels.append(kind.categories)
-            index_cols.append(data.codes(name))
-        else:
-            spec = specs.get(name)
-            if spec is None:
-                raise MissingBinSpec(f"continuous variable {name!r} needs a BinSpec")
-            axis_labels.append(spec.main_labels())
-            index_cols.append(spec.assign_main(data.codes(name)))
-    if len(data) == 0:
-        return ContingencyTable(component, tuple(axis_labels), {}, empty=True)
-    shape = tuple(len(a) for a in axis_labels)
-    flat = np.ravel_multi_index(tuple(index_cols), shape)
-    counts = np.bincount(flat, minlength=int(np.prod(shape)))
-    n = len(data)
-    cells: dict[tuple[str, ...], float] = {}
-    for flat_idx in np.flatnonzero(counts):
-        key = tuple(axis_labels[d][i] for d, i in enumerate(np.unravel_index(flat_idx, shape)))
-        cells[key] = float(counts[flat_idx]) / n
-    return ContingencyTable(component, tuple(axis_labels), cells)
+def _spec(schema: VariableSchema, specs: Mapping[str, BinSpec | None],
+          name: str) -> BinSpec | None:
+    """The bin spec of a continuous variable; None for a discrete one."""
+    if isinstance(schema.kind(name), Discrete):
+        return None
+    spec = specs.get(name)
+    if spec is None:
+        raise MissingBinSpec(f"continuous variable {name!r} needs a BinSpec")
+    if spec.variable != name:
+        raise UnitMismatch(f"spec is for {spec.variable!r}, not {name!r}")
+    return spec
 
 
-def marginalize(table: ContingencyTable, variable: str) -> FrequencyTable:
-    """Sum a contingency table over all axes but one (main bins only)."""
-    if variable not in table.component.variables:
-        raise UnitMismatch(f"{variable!r} is not part of component {table.component.id!r}")
-    axis = table.component.variables.index(variable)
-    labels = table.axis_labels[axis]
-    sums = dict.fromkeys(labels, 0.0)
-    for key, value in table.cells.items():
-        sums[key[axis]] += value
-    return FrequencyTable(variable, labels, tuple(sums[l] for l in labels), empty=table.empty)
+def main_codes(codes: Codes, specs: Mapping[str, BinSpec | None], name: str,
+               ) -> tuple[np.ndarray, int]:
+    """Main-bin (or category) codes of one variable, and how many there are."""
+    spec = _spec(codes.schema, specs, name)
+    if spec is None:
+        return codes.column(name), len(codes.schema.kind(name).categories)
+    return codes.column(name) // SUB_BINS, spec.n_main
 
 
-def refine_bins(spec: BinSpec, real_table: FrequencyTable, synth_table: FrequencyTable) -> BinSpec:
-    """Split the main bin with the largest positive real-synth gap.
+def marginal_counts(codes: Codes, specs: Mapping[str, BinSpec | None], name: str,
+                    refined: int | None = None) -> np.ndarray:
+    """Counts per category or main bin; a refined bin shows its sub-bin counts."""
+    spec = _spec(codes.schema, specs, name)
+    if spec is None:
+        col, size = main_codes(codes, specs, name)
+        return np.bincount(col, minlength=size)
+    fine = np.bincount(codes.column(name), minlength=SUB_BINS * spec.n_main)
+    main = fine.reshape(spec.n_main, SUB_BINS).sum(axis=1)
+    if refined is None:
+        return main
+    sub = fine[SUB_BINS * refined:SUB_BINS * (refined + 1)]
+    return np.concatenate([main[:refined], sub, main[refined + 1:]])
 
-    Both tables must be at main-bin resolution for spec's variable. When no
-    main bin is under-generated (every gap non-positive) the spec is
-    returned unchanged.
+
+def joint_counts(codes: Codes, specs: Mapping[str, BinSpec | None],
+                 variables: Sequence[str]) -> np.ndarray:
+    """Counts over a component, one axis per variable at main-bin resolution."""
+    cols, shape = zip(*(main_codes(codes, specs, name) for name in variables))
+    flat = np.ravel_multi_index(cols, shape)
+    return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+
+
+def sub_detail(codes: Codes, spec: BinSpec) -> np.ndarray:
+    """(n_main, 8) within-bin sub-proportions of the records in codes.
+
+    Row i describes how records inside main bin i spread over that bin's
+    eight sub-bins; rows with no members fall back to uniform.
     """
-    for table in (real_table, synth_table):
-        if table.unit != spec.variable:
-            raise UnitMismatch(f"table unit {table.unit!r} does not match {spec.variable!r}")
-        if len(table.labels) != spec.n_main:
-            raise UnitMismatch(
-                f"{spec.variable!r}: expected {spec.n_main} main bins, table has {len(table.labels)}")
-    gaps = real_table.as_array() - synth_table.as_array()
-    if float(gaps.max()) <= 0.0:
-        return spec
-    i = int(np.argmax(gaps))
-    sub_edges = np.linspace(spec.edges[i], spec.edges[i + 1], 9)
-    return replace(spec, refined=RefinedBin(i, tuple(float(e) for e in sub_edges)))
+    fine = np.bincount(codes.column(spec.variable), minlength=SUB_BINS * spec.n_main)
+    fine = fine.reshape(spec.n_main, SUB_BINS)
+    totals = fine.sum(axis=1, keepdims=True)
+    return np.where(totals > 0, fine / np.maximum(totals, 1), 1.0 / SUB_BINS)
 
 
-def sub_detail(data: Dataset, spec: BinSpec) -> np.ndarray:
-    """(n_main, 8) within-bin sub-proportions of data under spec's grid.
-
-    Row i describes how data inside main bin i spreads over that bin's eight
-    equal-width sub-intervals; rows with no members fall back to uniform.
-    """
-    col = data.codes(spec.variable)
-    main = spec.assign_main(col)
-    out = np.full((spec.n_main, 8), 1.0 / 8.0)
-    for i in range(spec.n_main):
-        members = col[main == i]
-        if len(members) == 0:
-            continue
-        grid = np.linspace(spec.edges[i], spec.edges[i + 1], 9)
-        sub = np.clip(np.searchsorted(grid, members, side="right") - 1, 0, 7)
-        counts = np.bincount(sub, minlength=8)
-        out[i] = counts / counts.sum()
-    return out
+def proportions(counts: np.ndarray, n: int) -> np.ndarray:
+    """count / n per cell; all zero for a table of no rows."""
+    return counts / n if n else np.zeros(counts.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -347,109 +220,145 @@ def sub_detail(data: Dataset, spec: BinSpec) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SummarySet:
-    """All tables of one dataset: marginals by variable, joints by component id."""
+    """All count tables of one dataset, over n rows.
 
-    marginals: dict[str, FrequencyTable]
-    joints: dict[str, ContingencyTable]
+    refined maps a continuous variable to the main bin whose sub-bin counts
+    replace it in that variable's marginal.
+    """
+
+    marginals: dict[str, np.ndarray]
+    joints: dict[StructuralComponent, np.ndarray]
+    n: int
+    refined: dict[str, int] = field(default_factory=dict)
 
 
 def compute_summaries(
-    data: Dataset,
+    data: Dataset | Codes,
     specs: Mapping[str, BinSpec | None],
     components: Sequence[StructuralComponent] = (),
+    refined: Mapping[str, int] | None = None,
 ) -> SummarySet:
-    marginals = {
-        v.name: summarize_marginal(data, v.name, specs.get(v.name))
-        for v in data.schema
-    }
-    joints = {c.id: summarize_joint(data, c, specs) for c in components}
-    return SummarySet(marginals, joints)
+    """Every marginal, and the joint of every component, of data.
 
-
-def fit_all_bins(real: Dataset, bins: int = 6) -> dict[str, BinSpec | None]:
-    """Main-bin specs for every continuous variable (None for discrete)."""
-    return {
-        v.name: fit_bins(real, v.name, bins) if isinstance(v.kind, Continuous) else None
-        for v in real.schema
-    }
+    A Dataset is binned onto the grid of specs first.
+    """
+    codes = data if isinstance(data, Codes) else encode(data, specs)
+    refined = dict(refined or {})
+    marginals = {name: marginal_counts(codes, specs, name, refined.get(name))
+                 for name in codes.schema.names}
+    joints = {c: joint_counts(codes, specs, c.variables) for c in components}
+    return SummarySet(marginals, joints, len(codes), refined)
 
 
 def refine_all_bins(
-    base_specs: Mapping[str, BinSpec | None],
-    real: Dataset,
-    synth: Dataset,
-) -> dict[str, BinSpec | None]:
-    """Per-variable refinement of base (unrefined) specs against a synth pool."""
-    out: dict[str, BinSpec | None] = {}
-    for name, spec in base_specs.items():
+    specs: Mapping[str, BinSpec | None],
+    real: Codes,
+    synth: Codes,
+) -> dict[str, int]:
+    """Per continuous variable, the main bin with the largest positive gap.
+
+    The gap is real minus synth proportion at main-bin resolution; a
+    variable with no under-generated main bin is not refined.
+    """
+    out: dict[str, int] = {}
+    for name, spec in specs.items():
         if spec is None:
-            out[name] = None
             continue
-        real_main = summarize_marginal(real, name, replace(spec, refined=None))
-        synth_main = summarize_marginal(synth, name, replace(spec, refined=None))
-        out[name] = refine_bins(replace(spec, refined=None), real_main, synth_main)
+        gaps = (proportions(marginal_counts(real, specs, name), len(real))
+                - proportions(marginal_counts(synth, specs, name), len(synth)))
+        if float(gaps.max()) > 0.0:
+            out[name] = int(np.argmax(gaps))
     return out
 
 
 def evaluation_summaries(
-    real: Dataset,
-    synth: Dataset,
+    real: Codes,
+    synth: Codes,
+    specs: Mapping[str, BinSpec | None],
     components: Sequence[StructuralComponent] = (),
-    bins: int = 6,
-) -> tuple[SummarySet, SummarySet, dict[str, BinSpec | None]]:
-    """Shared real/synth summary pipeline: fit on real, refine against synth.
+) -> tuple[SummarySet, SummarySet]:
+    """Shared real/synth summary pipeline: refine against synth, then count.
 
     Used both by the loop's per-iteration reporting and by offline
     evaluation so the two agree to the last bit on identical inputs.
     """
-    if real.schema != synth.schema:
-        raise UnitMismatch("real and synth datasets have different schemas")
-    base = fit_all_bins(real, bins)
-    specs = refine_all_bins(base, real, synth)
+    refined = refine_all_bins(specs, real, synth)
     return (
-        compute_summaries(real, specs, components),
-        compute_summaries(synth, specs, components),
-        specs,
+        compute_summaries(real, specs, components, refined),
+        compute_summaries(synth, specs, components, refined),
     )
 
 
 # ---------------------------------------------------------------------------
-# JSON payloads (exactly what proposer prompts embed)
+# labels and JSON payloads (exactly what proposer prompts embed)
 
 
-def table_payload(table: FrequencyTable, include_detail: bool = True) -> dict:
-    cells = []
-    for i, label in enumerate(table.labels):
-        is_detail = bool(table.detail[i]) if table.detail is not None else False
-        if is_detail and not include_detail:
-            continue
-        cell: dict = {"label": label, "proportion": table.proportions[i]}
-        if is_detail:
-            cell["detail"] = True
-        cells.append(cell)
-    out: dict = {"unit": table.unit, "cells": cells}
-    if table.empty:
-        out["empty"] = True
+def _interval_label(prefix: str, lo: float, hi: float, closed: bool) -> str:
+    right = "]" if closed else ")"
+    return f"{prefix}:[{float(lo)!r},{float(hi)!r}{right}"
+
+
+def _axis_labels(schema: VariableSchema, specs: Mapping[str, BinSpec | None],
+                 name: str) -> tuple[str, ...]:
+    spec = specs.get(name)
+    if spec is None:
+        return schema.kind(name).categories
+    last = spec.n_main - 1
+    return tuple(_interval_label(f"bin{i}", spec.edges[i], spec.edges[i + 1], i == last)
+                 for i in range(spec.n_main))
+
+
+def unit_labels(summaries: SummarySet, schema: VariableSchema,
+                specs: Mapping[str, BinSpec | None]) -> dict[str, list]:
+    """Cell labels of every unit, aligned with its flattened count array.
+
+    A joint cell's label is the tuple of its variables' labels.
+    """
+    out: dict[str, list] = {}
+    for name in summaries.marginals:
+        labels = list(_axis_labels(schema, specs, name))
+        r = summaries.refined.get(name)
+        if r is not None:
+            spec = specs[name]
+            se = spec.sub_edges(r)
+            closed = r == spec.n_main - 1
+            labels[r:r + 1] = [
+                _interval_label(f"bin{r}.{j}", se[j], se[j + 1], closed and j == SUB_BINS - 1)
+                for j in range(SUB_BINS)]
+        out[name] = labels
+    for comp in summaries.joints:
+        out[comp.id] = list(itertools.product(
+            *(_axis_labels(schema, specs, name) for name in comp.variables)))
     return out
 
 
-def joint_payload(table: ContingencyTable) -> dict:
-    cells = [
-        {"labels": list(key), "proportion": table.cells[key]}
-        for key in sorted(table.cells)
-    ]
-    out: dict = {
-        "unit": table.component.id,
-        "variables": list(table.component.variables),
-        "cells": cells,
-    }
-    if table.empty:
-        out["empty"] = True
-    return out
+def occupied(labels: Sequence, *tables: np.ndarray) -> list[int]:
+    """Flat indices of the cells non-zero in any of tables, in label order."""
+    nonzero = np.logical_or.reduce([np.ravel(t) > 0 for t in tables])
+    return sorted(np.flatnonzero(nonzero).tolist(), key=labels.__getitem__)
 
 
-def summary_payload(summaries: SummarySet, include_detail: bool = True) -> dict:
-    return {
-        "marginals": [table_payload(t, include_detail) for t in summaries.marginals.values()],
-        "joints": [joint_payload(t) for t in summaries.joints.values()],
-    }
+def summary_payload(summaries: SummarySet, labels: Mapping[str, list],
+                    include_detail: bool = True) -> dict:
+    empty = {"empty": True} if summaries.n == 0 else {}
+    marginals = []
+    for name, counts in summaries.marginals.items():
+        r = summaries.refined.get(name)
+        detail = range(r, r + SUB_BINS) if r is not None else range(0)
+        props = proportions(counts, summaries.n).tolist()
+        cells = []
+        for i, (label, p) in enumerate(zip(labels[name], props)):
+            if i not in detail:
+                cells.append({"label": label, "proportion": p})
+            elif include_detail:
+                cells.append({"label": label, "proportion": p, "detail": True})
+        marginals.append({"unit": name, "cells": cells, **empty})
+    joints = []
+    for comp, counts in summaries.joints.items():
+        keys = labels[comp.id]
+        props = proportions(counts, summaries.n).ravel()
+        cells = [{"labels": list(keys[i]), "proportion": float(props[i])}
+                 for i in occupied(keys, counts)]
+        joints.append({"unit": comp.id, "variables": list(comp.variables),
+                       "cells": cells, **empty})
+    return {"marginals": marginals, "joints": joints}

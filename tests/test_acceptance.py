@@ -34,7 +34,7 @@ from statsynth.reference import (
     generate,
 )
 from statsynth.schema import Dataset, load_csv, save_csv, save_schema
-from statsynth.summaries import FrequencyTable, fit_all_bins, refine_all_bins, summarize_marginal
+from statsynth.summaries import SUB_BINS, encode, fit_all_bins, marginal_counts, refine_all_bins
 
 
 def record(criterion: str, passed: bool, detail: str) -> None:
@@ -211,17 +211,18 @@ def test_criterion_04_quantile_bins(reference_2k):
     real = reference_2k
     base = fit_all_bins(real, 6)
     synth = generate(PARAMS, 500, seed=99)
-    refined = refine_all_bins(base, real, synth)
+    codes = encode(real, base)
+    refined = refine_all_bins(base, codes, encode(synth, base))
 
     bad_counts = []
     worst_gap = 0.0
     for name in ("user_age", "price"):
-        counts = np.bincount(base[name].assign_main(real.codes(name)), minlength=6)
+        counts = marginal_counts(codes, base, name)
         bad_counts += [int(c) for c in counts if c not in (333, 334)]
-        table = summarize_marginal(real, name, refined[name])
-        parent_idx = refined[name].refined.main_index
-        sub_sum = sum(p for p, d in zip(table.proportions, table.detail) if d)
-        parent = summarize_marginal(real, name, base[name]).proportions[parent_idx]
+        parent_idx = refined[name]
+        table = marginal_counts(codes, base, name, parent_idx) / len(real)
+        sub_sum = table[parent_idx:parent_idx + SUB_BINS].sum()
+        parent = counts[parent_idx] / len(real)
         worst_gap = max(worst_gap, abs(sub_sum - parent))
     passed = not bad_counts and worst_gap <= 1e-9
     record("criterion 4 quantile bins and sub-bin sums", passed,
@@ -244,11 +245,6 @@ def _random_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _table(values: np.ndarray) -> FrequencyTable:
-    labels = tuple(f"c{i}" for i in range(len(values)))
-    return FrequencyTable("u", labels, tuple(float(v) for v in values))
-
-
 def _brute_w1(x: np.ndarray, y: np.ndarray) -> float:
     best = math.inf
     for perm in itertools.permutations(range(len(y))):
@@ -262,9 +258,8 @@ def test_criterion_05_metric_properties():
     failures = []
     for _ in range(1000):
         p, q = _random_pair(rng)
-        tp, tq = _table(p), _table(q)
         for name, d_pq, d_qp, d_pp in (
-                ("tvd", tvd(tp, tq), tvd(tq, tp), tvd(tp, tp)),
+                ("tvd", tvd(p, q), tvd(q, p), tvd(p, p)),
                 ("jsd", jsd(p, q), jsd(q, p), jsd(p, p)),
                 ("hellinger", hellinger(p, q), hellinger(q, p), hellinger(p, p))):
             if d_pp != 0.0:

@@ -9,38 +9,34 @@ from statsynth import errors
 from statsynth.discrepancy import compute_report, tvd
 from statsynth.reference import EcommerceParams, generate
 from statsynth.summaries import (
-    ContingencyTable,
-    FrequencyTable,
     StructuralComponent,
+    SummarySet,
     compute_summaries,
     fit_all_bins,
+    unit_labels,
 )
 
 
-def _ft(unit, labels, props, **kw):
-    return FrequencyTable(unit, tuple(labels), tuple(props), **kw)
-
-
 def test_tvd_frozen_example():
-    p = _ft("c", ("A", "B"), (0.5, 0.5))
-    q = _ft("c", ("A", "B"), (0.7, 0.3))
-    assert tvd(p, q) == pytest.approx(0.2)
+    assert tvd(np.array([0.5, 0.5]), np.array([0.7, 0.3])) == pytest.approx(0.2)
 
 
 def test_tvd_requires_matching_units():
-    p = _ft("c", ("A", "B"), (0.5, 0.5))
+    p = np.array([0.5, 0.5])
     with pytest.raises(errors.UnitMismatch):
-        tvd(p, _ft("d", ("A", "B"), (0.5, 0.5)))
+        tvd(p, np.array([0.5, 0.3, 0.2]))
     with pytest.raises(errors.UnitMismatch):
-        tvd(p, _ft("c", ("A", "C"), (0.5, 0.5)))
+        tvd(p.reshape(1, 2), p.reshape(2, 1))
+    # one variable refined on one side only: the cell layouts disagree
+    real = SummarySet({"c": np.array([5, 5])}, {}, 10, {"c": 0})
+    with pytest.raises(errors.UnitMismatch):
+        compute_report(real, SummarySet({"c": np.array([5, 5])}, {}, 10))
 
 
 def test_tvd_contingency_key_union():
-    comp = StructuralComponent(("a", "b"))
-    axes = (("x", "y"), ("u", "v"))
-    p = ContingencyTable(comp, axes, {("x", "u"): 0.6, ("y", "v"): 0.4})
-    q = ContingencyTable(comp, axes, {("x", "u"): 0.6, ("x", "v"): 0.4})
-    # cells ('y','v') and ('x','v') each appear on one side only
+    # axes (x, y) by (u, v); cells (y, v) and (x, v) each occupied on one side only
+    p = np.array([[0.6, 0.0], [0.0, 0.4]])
+    q = np.array([[0.6, 0.4], [0.0, 0.0]])
     assert tvd(p, q) == pytest.approx(0.4)
 
 
@@ -52,9 +48,8 @@ def test_tvd_properties(aw, bw):
     aw, bw = aw[:k], bw[:k]
     if sum(aw) == 0 or sum(bw) == 0:
         return
-    labels = tuple(f"c{i}" for i in range(k))
-    p = _ft("u", labels, tuple(np.array(aw) / sum(aw)))
-    q = _ft("u", labels, tuple(np.array(bw) / sum(bw)))
+    p = np.array(aw) / sum(aw)
+    q = np.array(bw) / sum(bw)
     v = tvd(p, q)
     assert 0.0 <= v <= 1.0 + 1e-12
     assert tvd(q, p) == pytest.approx(v, abs=1e-12)
@@ -71,12 +66,12 @@ def test_report_structure_and_signed_gaps(ref_2k):
     assert set(report.marginals) == set(ref_2k.schema.names)
     assert set(report.joints) == {"location_tier+payment_method"}
     for unit in report.units.values():
-        gaps = [c.gap for c in unit.cells]
+        gaps = unit.cells
         # signed gaps over a shared support cancel out
         assert sum(gaps) == pytest.approx(0.0, abs=1e-9)
         assert unit.value == pytest.approx(0.5 * sum(abs(g) for g in gaps))
-        for c in unit.cells:
-            assert c.gap == pytest.approx(c.real - c.synth)
+        for gap, r, s in zip(unit.cells, unit.real, unit.synth):
+            assert gap == pytest.approx(r - s)
     vals = [u.value for u in report.units.values()]
     assert report.mean_tvd == pytest.approx(np.mean(vals))
 
@@ -114,6 +109,7 @@ def test_perturbing_one_variable_only_moves_its_units(var_i, seed):
              StructuralComponent(("user_age", "product_category", "price"))]
     specs = fit_all_bins(real)
     real_sum = compute_summaries(real, specs, comps)
+    labels = unit_labels(real_sum, real.schema, specs)
 
     # collapse one column to a constant, keep every other column bit-identical
     cols = {n: synth.column(n).copy() for n in synth.schema.names}
@@ -132,6 +128,6 @@ def test_perturbing_one_variable_only_moves_its_units(var_i, seed):
             continue
         twin = after.units[uname]
         assert twin.value == unit.value
-        assert [(c.label, c.real, c.synth) for c in twin.cells] == \
-            [(c.label, c.real, c.synth) for c in unit.cells]
+        assert list(zip(labels[uname], twin.real, twin.synth)) == \
+            list(zip(labels[uname], unit.real, unit.synth))
     assert after.marginals[name].value != before.marginals[name].value

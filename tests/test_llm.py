@@ -22,6 +22,7 @@ from statsynth.schema import Dataset
 from statsynth.summaries import (
     StructuralComponent,
     compute_summaries,
+    encode,
     fit_all_bins,
     refine_all_bins,
 )
@@ -31,11 +32,12 @@ from statsynth.testing import ScriptedChatServer
 def make_ctx(guidance: str = "", k: int = 2, batch_size: int = 10) -> ProposerContext:
     real = generate(EcommerceParams(), 300, seed=7)
     pool = generate(EcommerceParams(), 120, seed=8)
-    base = fit_all_bins(real)
-    specs = refine_all_bins(base, real, pool)
+    specs = fit_all_bins(real)
+    real_codes, pool_codes = encode(real, specs), encode(pool, specs)
+    refined = refine_all_bins(specs, real_codes, pool_codes)
     comps = (StructuralComponent(("location_tier", "payment_method")),)
-    real_sum = compute_summaries(real, specs, comps)
-    pool_sum = compute_summaries(pool, specs, comps)
+    real_sum = compute_summaries(real_codes, specs, comps, refined)
+    pool_sum = compute_summaries(pool_codes, specs, comps, refined)
     return ProposerContext(
         schema=real.schema,
         real_summaries=real_sum,

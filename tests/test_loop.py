@@ -1,8 +1,12 @@
 """Loop mechanics: sampling, accretion, logging, checkpoint and resume."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +19,6 @@ from statsynth.loop import (
     resume,
     run,
     sample_batch,
-    sample_from_proposal,
 )
 from statsynth.oracle import OracleProposer
 from statsynth.proposals import FixedCategory, Proposal, ProposerContext, Range
@@ -42,14 +45,14 @@ def small_cfg(**overrides) -> LoopConfig:
 def test_sample_all_fixed_yields_identical_records(tiny_schema):
     p = Proposal({"color": FixedCategory("red"), "size": Range(4.0, 4.0)}, num=3)
     rng = np.random.default_rng(0)
-    records = sample_from_proposal(p, tiny_schema, rng)
+    records = list(sample_batch(tiny_schema, [p], rng).iter_records())
     assert len(records) == 3
     assert all(r.values == ("red", 4.0) for r in records)
 
 
 def test_sample_degenerate_range_is_constant(tiny_schema):
     p = Proposal({"color": FixedCategory("blue"), "size": Range(7.5, 7.5)}, num=10)
-    records = sample_from_proposal(p, tiny_schema, np.random.default_rng(1))
+    records = sample_batch(tiny_schema, [p], np.random.default_rng(1)).iter_records()
     assert {r.values[1] for r in records} == {7.5}
 
 
@@ -57,8 +60,8 @@ def test_sample_uniform_range_mean(tiny_schema):
     # mean of U(0, 10) is 5; with 1e5 draws the error is ~0.01
     p = Proposal({"color": FixedCategory("red"), "size": Range(0.0, 10.0)},
                  num=100_000)
-    records = sample_from_proposal(p, tiny_schema, np.random.default_rng(2))
-    values = np.array([r.values[1] for r in records])
+    batch = sample_batch(tiny_schema, [p], np.random.default_rng(2))
+    values = np.array([r.values[1] for r in batch.iter_records()])
     assert abs(values.mean() - 5.0) < 0.1
     assert values.min() >= 0.0 and values.max() <= 10.0
 
@@ -117,8 +120,6 @@ def test_config_validation():
         LoopConfig(iterations=0)
     with pytest.raises(errors.ConfigError):
         LoopConfig(batch_size=3, proposals_per_iter=5)
-    with pytest.raises(errors.ConfigError):
-        LoopConfig(tolerance=0.2, threshold=0.05)
     with pytest.raises(errors.ConfigError):
         LoopConfig(seed=-1)
 
@@ -179,6 +180,28 @@ def test_deterministic_reruns_are_byte_identical(tmp_path, real_small):
             (tmp_path / "b" / name).read_bytes(), name
 
 
+_HASH_SEED_RUN = """
+import sys
+from statsynth.loop import LoopConfig, run
+from statsynth.oracle import OracleProposer
+from statsynth.reference import EcommerceParams, generate
+real = generate(EcommerceParams(), 2000, seed=3)
+cfg = LoopConfig(iterations=4, batch_size=200, n_components=3, seed=5)
+run(real, cfg, OracleProposer(), sys.argv[1])
+"""
+
+
+def test_logs_identical_across_hash_seeds(tmp_path):
+    # string hashing must not reach any logged number, e.g. via set order
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        subprocess.run([sys.executable, "-c", _HASH_SEED_RUN, str(tmp_path / hash_seed)],
+                       env=env, check=True)
+    for name in ("metrics.jsonl", "convergence.csv", "identity.jsonl"):
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes(), name
+
+
 def test_seed_changes_output(tmp_path, real_small):
     run(real_small, small_cfg(iterations=2, seed=5), OracleProposer(), tmp_path / "a")
     run(real_small, small_cfg(iterations=2, seed=6), OracleProposer(), tmp_path / "b")
@@ -211,6 +234,26 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, real_small):
                         resume_from_checkpoint=True)
     assert len(pool) == 6 * cfg.batch_size
     assert [r["iteration"] for r in history] == [1, 2, 3, 4, 5, 6]
+    for name in ("pool.csv", "metrics.jsonl", "convergence.csv",
+                 "identity.jsonl", "components.json"):
+        assert (tmp_path / "straight" / name).read_bytes() == \
+            (tmp_path / "resumed" / name).read_bytes(), name
+
+
+def test_resume_accepts_echo_of_removed_fields(tmp_path, real_small):
+    # checkpoints once echoed the unused tolerance and threshold settings
+    cfg = small_cfg(iterations=6)
+    run(real_small, cfg, OracleProposer(), tmp_path / "straight")
+    run(real_small, small_cfg(iterations=3), OracleProposer(), tmp_path / "resumed")
+    ckpt = tmp_path / "resumed" / "checkpoint"
+    doc = json.loads((ckpt / "state.json").read_text())
+    doc["config"].update(tolerance=0.01, threshold=0.05)
+    (ckpt / "state.json").write_text(json.dumps(doc, sort_keys=True))
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["files"]["state.json"] = hashlib.sha256(
+        (ckpt / "state.json").read_bytes()).hexdigest()
+    (ckpt / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
+    run(real_small, cfg, OracleProposer(), tmp_path / "resumed", resume_from_checkpoint=True)
     for name in ("pool.csv", "metrics.jsonl", "convergence.csv",
                  "identity.jsonl", "components.json"):
         assert (tmp_path / "straight" / name).read_bytes() == \

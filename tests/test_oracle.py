@@ -13,7 +13,6 @@ from statsynth.oracle import (
     _transport_round,
     ideal_batch_histogram,
     infer_components,
-    oracle_allocate,
     pairwise_mi,
 )
 from statsynth.proposals import (
@@ -25,9 +24,11 @@ from statsynth.proposals import (
 )
 from statsynth.schema import Continuous, Dataset, Discrete, Variable, VariableSchema
 from statsynth.summaries import (
-    FrequencyTable,
+    SUB_BINS,
     StructuralComponent,
+    SummarySet,
     compute_summaries,
+    encode,
     fit_all_bins,
     refine_all_bins,
 )
@@ -35,10 +36,26 @@ from statsynth.summaries import (
 ONE_VAR = VariableSchema((Variable("c", Discrete(("A", "B"))),))
 
 
-def one_var_report(real_props, synth_props, empty=False):
+def oracle_allocate(report, real_summaries, batch_size, *, schema, real_data, pool_size=0):
+    """One oracle batch allocation outside the loop."""
+    ctx = ProposerContext(
+        schema=schema,
+        real_summaries=real_summaries,
+        report=report,
+        components=(),
+        k=1,
+        batch_size=batch_size,
+        pool_size=pool_size,
+        bin_specs={},
+        seed=0,
+        real_codes=encode(real_data, {}),
+    )
+    return OracleProposer().propose(ctx)
+
+
+def one_var_report(real_props, synth_props):
     real = SummarySetFor(real_props)
-    synth = SummarySetFor(synth_props, empty=empty)
-    return real, compute_report(real, synth)
+    return real, compute_report(real, SummarySetFor(synth_props))
 
 
 def one_var_data(schema, props, n=10):
@@ -48,26 +65,26 @@ def one_var_data(schema, props, n=10):
     return Dataset.from_columns(schema, {schema.names[0]: values})
 
 
-def SummarySetFor(props, empty=False):
-    from statsynth.summaries import SummarySet
-    labels = tuple(sorted(props))
-    table = FrequencyTable("c", labels, tuple(props[l] for l in labels), empty=empty)
-    return SummarySet({"c": table}, {})
+def SummarySetFor(props, n=10):
+    """One-variable summary set holding props over n records."""
+    counts = np.array([round(props[label] * n) for label in sorted(props)])
+    return SummarySet({"c": counts}, {}, n)
 
 
 def steering_ctx(real: Dataset, pool: Dataset, *, batch_size=200, seed=0,
                  n_components=3, k=5) -> ProposerContext:
     """Assemble one iteration's proposer inputs the way the loop does."""
-    base = fit_all_bins(real)
-    specs = refine_all_bins(base, real, pool)
+    specs = fit_all_bins(real)
+    real_codes, pool_codes = encode(real, specs), encode(pool, specs)
+    refined = refine_all_bins(specs, real_codes, pool_codes)
     comps = []
     if len(real.schema.names) >= 2:
-        cctx = ComponentContext(real.schema, real, compute_summaries(real, base),
-                                base, n_components=n_components, seed=seed,
+        cctx = ComponentContext(real.schema, real, compute_summaries(real_codes, specs),
+                                specs, n_components=n_components, seed=seed,
                                 batch_size=batch_size)
         comps = infer_components(cctx)
-    real_sum = compute_summaries(real, specs, comps)
-    pool_sum = compute_summaries(pool, specs, comps)
+    real_sum = compute_summaries(real_codes, specs, comps, refined)
+    pool_sum = compute_summaries(pool_codes, specs, comps, refined)
     return ProposerContext(
         schema=real.schema,
         real_summaries=real_sum,
@@ -78,7 +95,7 @@ def steering_ctx(real: Dataset, pool: Dataset, *, batch_size=200, seed=0,
         pool_size=len(pool),
         bin_specs=specs,
         seed=seed,
-        real_data=real,
+        real_codes=real_codes,
     )
 
 
@@ -112,11 +129,8 @@ def test_batch_size_one():
 
 def test_overgenerated_cell_never_targeted():
     schema = VariableSchema((Variable("c", Discrete(("A", "B", "C"))),))
-    from statsynth.summaries import SummarySet
-    real_t = FrequencyTable("c", ("A", "B", "C"), (0.6, 0.2, 0.2))
-    synth_t = FrequencyTable("c", ("A", "B", "C"), (0.1, 0.8, 0.1))
-    real = SummarySet({"c": real_t}, {})
-    report = compute_report(real, SummarySet({"c": synth_t}, {}))
+    real = SummarySetFor({"A": 0.6, "B": 0.2, "C": 0.2})
+    report = compute_report(real, SummarySetFor({"A": 0.1, "B": 0.8, "C": 0.1}))
     data = one_var_data(schema, {"A": 0.6, "B": 0.2, "C": 0.2})
     proposals = oracle_allocate(report, real, 100, schema=schema, pool_size=100,
                                 real_data=data)
@@ -188,8 +202,8 @@ def test_empty_pool_batch_matches_real_marginals(ref_2k):
         if not isinstance(kind, Discrete):
             continue
         got = proposal_marginal(proposals, var, kind.categories)
-        real = ctx.real_summaries.marginals[var]
-        t = 0.5 * sum(abs(got[l] - p) for l, p in zip(real.labels, real.proportions))
+        real = ctx.real_summaries.marginals[var] / ctx.real_summaries.n
+        t = 0.5 * sum(abs(got[l] - p) for l, p in zip(kind.categories, real))
         assert t <= 2 / 200 + 1e-9, f"{var}: TVD {t}"
 
 
@@ -202,12 +216,14 @@ def test_empty_pool_continuous_main_bins_match(ref_2k):
         for p in proposals:
             rng_val = p.assignments[var]
             mid = 0.5 * (rng_val.lo + rng_val.hi)
-            got[spec.assign_main(np.array([mid]))[0]] += p.num
+            got[spec.fine_codes(np.array([mid]))[0] // SUB_BINS] += p.num
         got /= got.sum()
-        table = ctx.real_summaries.marginals[var]
-        want = np.zeros(spec.n_main)
-        for cell, p in zip(spec.cells(), table.proportions):
-            want[cell.main_index] += p
+        table = ctx.real_summaries.marginals[var] / ctx.real_summaries.n
+        r = ctx.real_summaries.refined.get(var)
+        if r is not None:
+            table = np.concatenate([table[:r], [table[r:r + SUB_BINS].sum()],
+                                    table[r + SUB_BINS:]])
+        want = table
         assert 0.5 * np.abs(got - want).sum() <= 6 / (2 * 200) + 1e-9
 
 
@@ -222,7 +238,7 @@ def test_ranges_are_sub_bin_width(ref_2k):
         for p in proposals:
             r = p.assignments[var]
             mid = 0.5 * (r.lo + r.hi)
-            i = int(spec.assign_main(np.array([mid]))[0])
+            i = int(spec.fine_codes(np.array([mid]))[0] // SUB_BINS)
             assert r.hi - r.lo == pytest.approx(widths[i], rel=1e-9)
 
 
@@ -241,8 +257,8 @@ def test_maintenance_mode_tracks_real(ref_2k):
         kind = ref_2k.schema.kind(var)
         if isinstance(kind, Discrete):
             got = proposal_marginal(proposals, var, kind.categories)
-            real = ctx.real_summaries.marginals[var]
-            t = 0.5 * sum(abs(got[l] - p) for l, p in zip(real.labels, real.proportions))
+            real = ctx.real_summaries.marginals[var] / ctx.real_summaries.n
+            t = 0.5 * sum(abs(got[l] - p) for l, p in zip(kind.categories, real))
             assert t <= 2 / 200 + 1e-9
 
 
@@ -323,12 +339,13 @@ def test_pairwise_mi_against_brute_force(ref_100k):
     specs = fit_all_bins(ref_100k)
     cat = ref_100k.codes("product_category")
     gender = ref_100k.codes("gender")
-    price_bins = specs["price"].assign_main(ref_100k.codes("price"))
+    price_bins = specs["price"].fine_codes(ref_100k.codes("price")) // SUB_BINS
     n_bins = specs["price"].n_main
     want_cat = brute_mi(cat, price_bins, 4, n_bins)
     want_gender = brute_mi(gender, price_bins, 2, n_bins)
-    got_cat = pairwise_mi(ref_100k, "product_category", "price", specs)
-    got_gender = pairwise_mi(ref_100k, "gender", "price", specs)
+    codes = encode(ref_100k, specs)
+    got_cat = pairwise_mi(codes, "product_category", "price", specs)
+    got_gender = pairwise_mi(codes, "gender", "price", specs)
     assert got_cat == pytest.approx(want_cat, abs=1e-12)
     assert got_gender == pytest.approx(want_gender, abs=1e-12)
     assert got_cat > got_gender

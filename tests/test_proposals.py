@@ -51,7 +51,7 @@ def test_bad_num(tiny_schema, num):
 def _ctx_kwargs(schema):
     return dict(
         schema=schema,
-        real_summaries=SummarySet({}, {}),
+        real_summaries=SummarySet({}, {}, 0),
         report=DiscrepancyReport({}, {}, 0.0),
         components=(),
         bin_specs={},
@@ -72,4 +72,4 @@ def test_context_invariants(tiny_schema):
 
 def test_component_context_invariant(tiny_schema, ref_2k):
     with pytest.raises(errors.ConfigError):
-        ComponentContext(tiny_schema, ref_2k, SummarySet({}, {}), {}, n_components=0)
+        ComponentContext(tiny_schema, ref_2k, SummarySet({}, {}, 0), {}, n_components=0)
