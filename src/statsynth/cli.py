@@ -1,8 +1,9 @@
 """Command-line interface: reference generation, synthesis runs, evaluation.
 
 Exit codes: 0 success, 2 configuration or validation failure, 3 proposer
-failure after retries. A run aborted with exit 3 keeps its last checkpoint,
-so `synthesize --resume` can continue it.
+failure (retries exhausted, or the endpoint rejected the request). A run
+aborted with exit 3 keeps its last checkpoint, so `synthesize --resume` can
+continue it.
 """
 from __future__ import annotations
 

@@ -112,6 +112,10 @@ class LlmUnavailable(ProposerError):
     """Chat-completion endpoint unreachable after all retries."""
 
 
+class RequestRejected(ProposerError):
+    """Endpoint refused the request (HTTP 4xx but 408 and 429); not retried."""
+
+
 class MalformedReply(ProposerError):
     """Endpoint replied, but no usable proposals survived validation."""
 

@@ -42,6 +42,10 @@ TOKEN_ENV = "STATSYNTH_API_TOKEN"
 # cells kept per report unit at the second truncation stage
 TOP_GAP_CELLS = 10
 
+# largest num a reply may ask for: counts are rescaled in float64, which
+# holds every integer up to 2**53 exactly, and k of them sum without overflow
+MAX_NUM = 2 ** 53
+
 
 @dataclass(frozen=True)
 class ProposerConfig:
@@ -203,10 +207,12 @@ def _strip_fences(text: str) -> str:
 
 
 def _reply_json(text: str) -> object:
+    # ValueError also covers integer literals past Python's digit limit,
+    # RecursionError arrays or objects nested too deep to parse
     try:
         return json.loads(_strip_fences(text))
-    except json.JSONDecodeError as exc:
-        raise errors.MalformedReply(f"reply is not JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise errors.MalformedReply(f"reply is not JSON: {type(exc).__name__}") from exc
 
 
 def _rescale_counts(weights: list[int], total: int) -> list[int]:
@@ -234,7 +240,10 @@ def _assignment_from_json(schema: VariableSchema, name: str, value: object):
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)):
         raise errors.MalformedReply(
             f"{name}: continuous assignment must be [lo, hi], got {value!r}")
-    return Range(float(value[0]), float(value[1]))
+    try:
+        return Range(float(value[0]), float(value[1]))
+    except OverflowError:
+        raise errors.MalformedReply(f"{name}: range bound too large for a float") from None
 
 
 def parse_proposal_reply(text: str, ctx: ProposerContext) -> list[Proposal]:
@@ -264,8 +273,9 @@ def parse_proposal_reply(text: str, ctx: ProposerContext) -> list[Proposal]:
         if extra:
             raise errors.MalformedReply(f"proposal {i} names unknown variables {sorted(extra)}")
         num = item.get("num")
-        if not isinstance(num, int) or isinstance(num, bool) or num < 1:
-            raise errors.MalformedReply(f"proposal {i} needs a positive integer num, got {num!r}")
+        if not isinstance(num, int) or isinstance(num, bool) or not 1 <= num <= MAX_NUM:
+            raise errors.MalformedReply(
+                f"proposal {i} needs an integer num in [1, 2**53], got {num!r:.40}")
         rationale = item.get("rationale", "")
         if not isinstance(rationale, str):
             raise errors.MalformedReply(f"proposal {i} rationale must be a string")
@@ -327,7 +337,11 @@ def parse_copula_reply(text: str, ctx: ComponentContext) -> list[StructuralCompo
 
 
 class ChatClient:
-    """One POST per complete() call; retries live in LlmProposer."""
+    """One POST per complete() call; retries live in LlmProposer.
+
+    HTTP 4xx other than 408 and 429 raises RequestRejected, which is not
+    retried; other failures raise LlmUnavailable or MalformedReply.
+    """
 
     def __init__(self, config: ProposerConfig) -> None:
         self.config = config
@@ -347,11 +361,14 @@ class ChatClient:
                                  headers=headers, timeout=self.config.timeout)
         except requests.RequestException as exc:
             raise errors.LlmUnavailable(f"endpoint unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise errors.LlmUnavailable(f"endpoint returned HTTP {resp.status_code}")
+        status = resp.status_code
+        if 400 <= status < 500 and status not in (408, 429):
+            raise errors.RequestRejected(f"endpoint rejected the request: HTTP {status}")
+        if status != 200:
+            raise errors.LlmUnavailable(f"endpoint returned HTTP {status}")
         try:
             content = resp.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise errors.MalformedReply(f"reply envelope is not chat-shaped: {exc!r}") from exc
         if not isinstance(content, str):
             raise errors.MalformedReply("reply content is not text")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +28,8 @@ from .proposals import (
     ProposerContext,
     validate_proposal,
 )
-from .schema import Dataset, VariableSchema, concat, load_csv, save_csv
+# save_csv is unused here but stays importable: perfbench traces loop.save_csv
+from .schema import Dataset, VariableSchema, concat, csv_text, load_csv, save_csv  # noqa: F401
 from .summaries import (
     SummarySet,
     compute_summaries,
@@ -77,6 +79,7 @@ class LoopState:
     pool: Dataset
     history: list[dict] = field(default_factory=list)
     report: DiscrepancyReport | None = None
+    pool_log: PoolLog | None = None
 
 
 def _iteration_seed(seed: int, t: int, purpose: int) -> int:
@@ -119,14 +122,19 @@ def _check_batch(proposals: list[Proposal], schema: VariableSchema, batch_size: 
 
 # ---------------------------------------------------------------------------
 # checkpointing
+#
+# checkpoint/pool.csv only grows: each checkpoint appends the rows added since
+# the last one and fsyncs them. manifest.json is the commit point: it names
+# the committed length of pool.csv (pool_bytes) and the SHA-256 of that
+# prefix and of state.json. The next state.json is staged as state.json.tmp
+# and moved into place only after the manifest that names it, so at every
+# instant the manifest describes files that are on disk.
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
+def _sha256(path: Path, size: int = -1) -> "hashlib._Hash":
+    """Running hash of the file's first size bytes (all of it by default)."""
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.sha256(fh.read(size))
 
 
 def _atomic_write(path: Path, data: str) -> None:
@@ -135,31 +143,89 @@ def _atomic_write(path: Path, data: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_synced(path: Path, data: bytes, mode: str = "wb") -> None:
+    with open(path, mode) as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def _fsync_dir(directory: Path) -> None:
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+@dataclass
+class PoolLog:
+    """checkpoint/pool.csv as an append-only log.
+
+    The file holds size bytes, the CSV of the pool's first rows records, and
+    sha is the running SHA-256 of exactly those bytes, so a checkpoint never
+    re-reads or re-hashes what earlier ones wrote.
+    """
+
+    path: Path
+    rows: int = 0
+    size: int = 0
+    sha: "hashlib._Hash" = field(default_factory=hashlib.sha256)
+
+    def append(self, pool: Dataset) -> None:
+        """Append and fsync the pool's records past rows; an empty log starts the file."""
+        data = csv_text(pool, self.rows).encode("utf-8")
+        _write_synced(self.path, data, "ab" if self.size else "wb")
+        self.sha.update(data)
+        self.rows = len(pool)
+        self.size += len(data)
+
+
 _ECHO_FIELDS = ("proposals_per_iter", "batch_size", "n_components", "seed",
                 "n_bins", "cache_components")
 
 
 def checkpoint(state: LoopState, directory: str | Path, cfg: LoopConfig) -> None:
-    """Write pool + state with a content-hash manifest; same state, same bytes."""
+    """Append the pool's new records, then commit state and manifest.
+
+    The state's pool log is created on first use; same state, same bytes.
+    """
     directory = Path(directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        save_csv(state.pool, directory / "pool.csv")
+        if state.pool_log is None or state.pool_log.path != directory / "pool.csv":
+            state.pool_log = PoolLog(directory / "pool.csv")
+        log = state.pool_log
+        log.append(state.pool)
         doc = {
             "iteration": state.iteration,
             "config": {name: getattr(cfg, name) for name in _ECHO_FIELDS},
             "history": state.history,
         }
-        _atomic_write(directory / "state.json", json.dumps(doc, sort_keys=True))
-        manifest = {"files": {name: _sha256(directory / name)
-                              for name in ("pool.csv", "state.json")}}
-        _atomic_write(directory / "manifest.json", json.dumps(manifest, sort_keys=True))
+        state_bytes = json.dumps(doc, sort_keys=True).encode()
+        _write_synced(directory / "state.json.tmp", state_bytes)
+        manifest = {
+            "files": {"pool.csv": log.sha.hexdigest(),
+                      "state.json": hashlib.sha256(state_bytes).hexdigest()},
+            "pool_bytes": log.size,
+        }
+        _write_synced(directory / "manifest.json.tmp",
+                      json.dumps(manifest, sort_keys=True).encode())
+        os.replace(directory / "manifest.json.tmp", directory / "manifest.json")
+        _fsync_dir(directory)
+        os.replace(directory / "state.json.tmp", directory / "state.json")
+        _fsync_dir(directory)
     except OSError as exc:
         raise errors.IoFailure(f"cannot write checkpoint to {directory}: {exc}") from exc
 
 
 def resume(directory: str | Path, schema: VariableSchema, cfg: LoopConfig) -> LoopState:
-    """Load and verify a checkpoint; the config must match the stored echo."""
+    """Load and verify a checkpoint; the config must match the stored echo.
+
+    Bytes of pool.csv past the committed length, left by an iteration that
+    died before its manifest, are cut off. A manifest without pool_bytes
+    commits the whole file.
+    """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -167,16 +233,31 @@ def resume(directory: str | Path, schema: VariableSchema, cfg: LoopConfig) -> Lo
     try:
         manifest = json.loads(manifest_path.read_text())
         files = manifest["files"]
+        pool_sha, state_sha = files["pool.csv"], files["state.json"]
+        committed = manifest.get("pool_bytes")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise errors.CorruptCheckpoint(f"unreadable manifest in {directory}") from exc
-    for name, expect in files.items():
-        path = directory / name
+    pool_path, state_path = directory / "pool.csv", directory / "state.json"
+    staged = directory / "state.json.tmp"
+    if staged.exists() and _sha256(staged).hexdigest() == state_sha:
+        # committed, but the move into place did not happen
+        os.replace(staged, state_path)
+    for path in (pool_path, state_path):
         if not path.exists():
-            raise errors.CorruptCheckpoint(f"checkpoint file missing: {name}")
-        if _sha256(path) != expect:
-            raise errors.CorruptCheckpoint(f"checkpoint hash mismatch for {name}")
+            raise errors.CorruptCheckpoint(f"checkpoint file missing: {path.name}")
+    if _sha256(state_path).hexdigest() != state_sha:
+        raise errors.CorruptCheckpoint("checkpoint hash mismatch for state.json")
+    on_disk = pool_path.stat().st_size
+    if committed is None:
+        committed = on_disk
+    if not isinstance(committed, int) or not 0 <= committed <= on_disk:
+        raise errors.CorruptCheckpoint(
+            f"pool.csv ({on_disk} bytes) does not hold its committed {committed!r} bytes")
+    sha = _sha256(pool_path, committed)
+    if sha.hexdigest() != pool_sha:
+        raise errors.CorruptCheckpoint("checkpoint hash mismatch for pool.csv")
     try:
-        doc = json.loads((directory / "state.json").read_text())
+        doc = json.loads(state_path.read_text())
         iteration = int(doc["iteration"])
         echo = doc["config"]
         history = doc["history"]
@@ -190,11 +271,17 @@ def resume(directory: str | Path, schema: VariableSchema, cfg: LoopConfig) -> Lo
     if cfg.iterations < iteration:
         raise errors.ConfigError(
             f"checkpoint is at iteration {iteration}, beyond iterations={cfg.iterations}")
-    pool = load_csv(directory / "pool.csv", schema)
+    if on_disk > committed:
+        try:
+            os.truncate(pool_path, committed)
+        except OSError as exc:
+            raise errors.IoFailure(f"cannot truncate {pool_path}: {exc}") from exc
+    pool = load_csv(pool_path, schema)
     if len(pool) != iteration * cfg.batch_size:
         raise errors.CorruptCheckpoint(
             f"pool has {len(pool)} records, expected {iteration * cfg.batch_size}")
-    return LoopState(iteration=iteration, pool=pool, history=history)
+    return LoopState(iteration=iteration, pool=pool, history=history,
+                     pool_log=PoolLog(pool_path, len(pool), committed, sha))
 
 
 # ---------------------------------------------------------------------------
@@ -372,5 +459,8 @@ def run(
             checkpoint(state, outputs.checkpoint_dir, cfg)
 
     if outputs is not None:
-        save_csv(state.pool, outputs.root / "pool.csv")
+        try:
+            shutil.copyfile(outputs.checkpoint_dir / "pool.csv", outputs.root / "pool.csv")
+        except OSError as exc:
+            raise errors.IoFailure(f"cannot write {outputs.root / 'pool.csv'}: {exc}") from exc
     return state.pool, state.history

@@ -8,6 +8,7 @@ are decoded views built on demand.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -262,29 +263,35 @@ def concat(a: Dataset, b: Dataset) -> Dataset:
 # CSV
 
 
-def _format_number(x: float) -> str:
-    # repr of a Python float is the shortest string that round-trips exactly,
-    # which is stronger than the 9 significant digits the format guarantees
-    return repr(float(x))
+def csv_text(data: Dataset, start: int = 0) -> str:
+    """CSV lines of records start onward, led by the header row when start is 0.
+
+    The one formatter behind save_csv and the checkpoint's batch appends, so
+    a file appended batch by batch has the bytes of one save_csv. Categories
+    with commas or quotes get quoted.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=csv.QUOTE_MINIMAL)
+    if start == 0:
+        writer.writerow(data.schema.names)
+    cells = []
+    for var, col in zip(data.schema, data.columns):
+        values = col[start:].tolist()
+        if isinstance(var.kind, Discrete):
+            cells.append([var.kind.categories[c] for c in values])
+        else:
+            # repr of a Python float is the shortest string that round-trips
+            # exactly, stronger than the 9 significant digits the format needs
+            cells.append([repr(x) for x in values])
+    writer.writerows(zip(*cells))
+    return out.getvalue()
 
 
 def save_csv(data: Dataset, path: str | Path) -> None:
-    """Write UTF-8 CSV with a header row; categories with commas get quoted."""
+    """Write UTF-8 CSV with a header row."""
     path = Path(path)
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
-            writer.writerow(data.schema.names)
-            discrete = [isinstance(v.kind, Discrete) for v in data.schema]
-            cats = [v.kind.categories if isinstance(v.kind, Discrete) else None for v in data.schema]
-            for i in range(len(data)):
-                row = []
-                for j in range(len(data.schema)):
-                    if discrete[j]:
-                        row.append(cats[j][int(data.columns[j][i])])
-                    else:
-                        row.append(_format_number(data.columns[j][i]))
-                writer.writerow(row)
+        path.write_bytes(csv_text(data).encode("utf-8"))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

@@ -243,6 +243,18 @@ def test_llm_failure_exits_3_and_keeps_checkpoint(tmp_path, ref_paths):
     assert len(pool) == 30
 
 
+def test_llm_client_error_exits_3_after_one_request(tmp_path, ref_paths):
+    with ScriptedChatServer([401]) as server:
+        result = run_cli(*synthesize_args(ref_paths, tmp_path / "run", components=1),
+                         "--proposer", "llm", "--endpoint", server.endpoint,
+                         "--model", "scripted",
+                         env_extra={TOKEN_ENV: "dummy-token"})
+        assert len(server.requests) == 1
+    assert result.returncode == 3, result.stderr
+    assert "HTTP 401" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statsynth import errors
@@ -16,9 +16,9 @@ from statsynth.llm import (
     parse_proposal_reply,
     render_prompt,
 )
-from statsynth.proposals import ComponentContext, ProposerContext, Range
-from statsynth.reference import EcommerceParams, generate
-from statsynth.schema import Dataset
+from statsynth.proposals import ComponentContext, ProposerContext, Range, validate_proposal
+from statsynth.reference import EcommerceParams, ecommerce_schema, generate
+from statsynth.schema import Dataset, Discrete
 from statsynth.summaries import (
     StructuralComponent,
     compute_summaries,
@@ -226,6 +226,126 @@ def test_copula_two_variable_schema_needs_single_component(two_binary_schema):
 
 
 # ---------------------------------------------------------------------------
+# hostile replies: every text is either MalformedReply or a valid batch
+
+SCHEMA = ecommerce_schema()
+NAMES = list(SCHEMA.names)
+CATEGORIES = [c for v in SCHEMA if isinstance(v.kind, Discrete) for c in v.kind.categories]
+HUGE = "1" + "0" * 309  # an integer literal past the largest float
+
+
+def _valid_item_text(**replace: str) -> str:
+    """A one-proposal reply; replace swaps a value for a raw JSON literal."""
+    item = {"assignments": full_assignments(SCHEMA), "num": 4}
+    text = json.dumps([item])
+    for key, literal in replace.items():
+        old = json.dumps(item["assignments"][key] if key in item["assignments"] else item[key])
+        text = text.replace(f'"{key}": {old}', f'"{key}": {literal}', 1)
+    return text
+
+
+_numbers = st.one_of(st.integers(-10, 100), st.integers(-10**400, 10**400),
+                     st.floats(), st.floats(0.0, 2000.0))
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), _numbers, st.text(max_size=6),
+              st.sampled_from(NAMES + CATEGORIES)),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.sampled_from(NAMES) | st.text(max_size=4), kids, max_size=3),
+    max_leaves=10)
+
+
+def _assignment(var):
+    if isinstance(var.kind, Discrete):
+        return st.sampled_from(var.kind.categories)
+    inside = st.floats(var.kind.lower, var.kind.upper)
+    return st.tuples(inside, inside).map(sorted)
+
+
+@st.composite
+def _proposal(draw) -> dict:
+    """A valid proposal, or one with a single field spoilt."""
+    item: dict = {"assignments": {v.name: draw(_assignment(v)) for v in SCHEMA},
+                  "num": draw(st.integers(1, 50)), "rationale": "r"}
+    spoil = draw(st.sampled_from([None, "num", "value", "field"]))
+    if spoil == "num":
+        item["num"] = draw(st.integers(-2, 0) | st.integers(2**53 - 1, 2**53 + 1)
+                           | st.integers(10**300, 10**400))
+    elif spoil == "value":
+        item["assignments"][draw(st.sampled_from(NAMES))] = draw(
+            st.lists(_numbers, min_size=2, max_size=2) | _json)
+    elif spoil == "field":
+        item[draw(st.sampled_from(["assignments", "num", "rationale"]))] = draw(_json)
+    return item
+
+
+@st.composite
+def _components(draw) -> dict:
+    """Valid components, possibly with a spoilt or repeated one."""
+    comps = [{"variables": draw(st.lists(st.sampled_from(NAMES), min_size=2, max_size=4,
+                                         unique=True))} for _ in range(draw(st.integers(0, 4)))]
+    if comps and draw(st.booleans()):
+        comps[draw(st.integers(0, len(comps) - 1))] = draw(
+            st.fixed_dictionaries({"variables": st.lists(st.sampled_from(NAMES) | _json,
+                                                         max_size=5)}) | _json)
+    return {"components": comps}
+
+
+_proposal_texts = st.one_of(
+    st.text(),
+    st.lists(_proposal(), min_size=1, max_size=4).map(json.dumps),
+    st.lists(_proposal() | _json, max_size=4).map(json.dumps),
+    _json.map(json.dumps))
+_copula_texts = st.one_of(st.text(), _components().map(json.dumps), _json.map(json.dumps))
+
+# replies that once escaped as OverflowError, ValueError and RecursionError
+HOSTILE = [_valid_item_text(num=HUGE), _valid_item_text(price=f"[0, {HUGE}]"),
+           _valid_item_text(num="1" + "0" * 5000), "[" * 100_000]
+
+
+@pytest.fixture(scope="module")
+def fuzz_contexts() -> tuple[ProposerContext, ComponentContext]:
+    real = generate(EcommerceParams(), 300, seed=7)
+    base = fit_all_bins(real)
+    cctx = ComponentContext(real.schema, real, compute_summaries(real, base), base,
+                            n_components=2)
+    return make_ctx(k=3, batch_size=10), cctx
+
+
+@given(_proposal_texts)
+@example(HOSTILE[0])
+@example(HOSTILE[1])
+@example(HOSTILE[2])
+@example(HOSTILE[3])
+@settings(max_examples=300, deadline=None)
+def test_proposal_reply_is_malformed_or_a_valid_batch(fuzz_contexts, text):
+    ctx = fuzz_contexts[0]
+    try:
+        out = parse_proposal_reply(text, ctx)
+    except errors.MalformedReply:
+        return
+    for p in out:
+        validate_proposal(p, ctx.schema)
+    assert sum(p.num for p in out) == ctx.batch_size
+
+
+@given(_copula_texts)
+@example(HOSTILE[2])
+@example(HOSTILE[3])
+@example(json.dumps({"components": [{"variables": ["user_age", "price"]}]})
+         .replace('"price"', HUGE))
+@settings(max_examples=300, deadline=None)
+def test_copula_reply_is_malformed_or_valid_components(fuzz_contexts, text):
+    cctx = fuzz_contexts[1]
+    try:
+        comps = parse_copula_reply(text, cctx)
+    except errors.MalformedReply:
+        return
+    assert len(comps) == cctx.n_components
+    assert len({frozenset(c.variables) for c in comps}) == len(comps)
+    assert all(set(c.variables) <= set(NAMES) for c in comps)
+
+
+# ---------------------------------------------------------------------------
 # wire client and retries (hermetic local server)
 
 
@@ -278,6 +398,25 @@ def test_http_error_then_valid_recovers():
     with ScriptedChatServer([500, valid_reply(ctx)]) as server:
         out = LlmProposer(config(server.endpoint)).propose(ctx)
         assert sum(p.num for p in out) == 4
+
+
+@pytest.mark.parametrize("status", [408, 429, 503])
+def test_retryable_status_then_valid_recovers(status):
+    ctx = make_ctx(k=1, batch_size=4)
+    with ScriptedChatServer([status, valid_reply(ctx)]) as server:
+        out = LlmProposer(config(server.endpoint)).propose(ctx)
+        assert sum(p.num for p in out) == 4
+        assert len(server.requests) == 2
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404])
+def test_client_error_fails_fast(status):
+    ctx = make_ctx(k=1, batch_size=4)
+    with ScriptedChatServer([status, valid_reply(ctx)]) as server:
+        proposer = LlmProposer(config(server.endpoint, backoff=30.0))
+        with pytest.raises(errors.RequestRejected):
+            proposer.propose(ctx)
+        assert len(server.requests) == 1
 
 
 def test_persistent_http_error_is_unavailable():

@@ -5,13 +5,14 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from statsynth import errors
+from statsynth import errors, loop
 from statsynth.loop import (
     LoopConfig,
     LoopState,
@@ -23,7 +24,15 @@ from statsynth.loop import (
 from statsynth.oracle import OracleProposer
 from statsynth.proposals import FixedCategory, Proposal, ProposerContext, Range
 from statsynth.reference import EcommerceParams, generate
-from statsynth.schema import Dataset, load_csv
+from statsynth.schema import (
+    Continuous,
+    Dataset,
+    Discrete,
+    Variable,
+    VariableSchema,
+    load_csv,
+    save_csv,
+)
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +45,15 @@ def small_cfg(**overrides) -> LoopConfig:
                 n_components=2, seed=5)
     base.update(overrides)
     return LoopConfig(**base)
+
+
+RUN_OUTPUTS = ("pool.csv", "metrics.jsonl", "convergence.csv",
+               "identity.jsonl", "components.json")
+
+
+def assert_same_outputs(a, b) -> None:
+    for name in RUN_OUTPUTS:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +192,7 @@ def test_deterministic_reruns_are_byte_identical(tmp_path, real_small):
     cfg = small_cfg(iterations=3)
     run(real_small, cfg, OracleProposer(), tmp_path / "a")
     run(real_small, cfg, OracleProposer(), tmp_path / "b")
-    for name in ("pool.csv", "metrics.jsonl", "convergence.csv",
-                 "identity.jsonl", "components.json"):
-        assert (tmp_path / "a" / name).read_bytes() == \
-            (tmp_path / "b" / name).read_bytes(), name
+    assert_same_outputs(tmp_path / "a", tmp_path / "b")
 
 
 _HASH_SEED_RUN = """
@@ -234,10 +249,7 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, real_small):
                         resume_from_checkpoint=True)
     assert len(pool) == 6 * cfg.batch_size
     assert [r["iteration"] for r in history] == [1, 2, 3, 4, 5, 6]
-    for name in ("pool.csv", "metrics.jsonl", "convergence.csv",
-                 "identity.jsonl", "components.json"):
-        assert (tmp_path / "straight" / name).read_bytes() == \
-            (tmp_path / "resumed" / name).read_bytes(), name
+    assert_same_outputs(tmp_path / "straight", tmp_path / "resumed")
 
 
 def test_resume_accepts_echo_of_removed_fields(tmp_path, real_small):
@@ -254,10 +266,118 @@ def test_resume_accepts_echo_of_removed_fields(tmp_path, real_small):
         (ckpt / "state.json").read_bytes()).hexdigest()
     (ckpt / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
     run(real_small, cfg, OracleProposer(), tmp_path / "resumed", resume_from_checkpoint=True)
-    for name in ("pool.csv", "metrics.jsonl", "convergence.csv",
-                 "identity.jsonl", "components.json"):
-        assert (tmp_path / "straight" / name).read_bytes() == \
-            (tmp_path / "resumed" / name).read_bytes(), name
+    assert_same_outputs(tmp_path / "straight", tmp_path / "resumed")
+
+
+def test_resume_accepts_manifest_without_pool_bytes(tmp_path, real_small):
+    # older checkpoints rewrote pool.csv whole and commit all of it
+    cfg = small_cfg(iterations=6)
+    run(real_small, cfg, OracleProposer(), tmp_path / "straight")
+    run(real_small, small_cfg(iterations=3), OracleProposer(), tmp_path / "resumed")
+    ckpt = tmp_path / "resumed" / "checkpoint"
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    assert manifest.pop("pool_bytes") == (ckpt / "pool.csv").stat().st_size
+    (ckpt / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
+    run(real_small, cfg, OracleProposer(), tmp_path / "resumed", resume_from_checkpoint=True)
+    assert_same_outputs(tmp_path / "straight", tmp_path / "resumed")
+
+
+def test_resume_discards_uncommitted_pool_tail(tmp_path, real_small):
+    cfg = small_cfg(iterations=4)
+    run(real_small, cfg, OracleProposer(), tmp_path / "straight")
+    run(real_small, small_cfg(iterations=2), OracleProposer(), tmp_path / "resumed")
+    pool_csv = tmp_path / "resumed" / "checkpoint" / "pool.csv"
+    committed = pool_csv.read_bytes()
+    with open(pool_csv, "ab") as fh:
+        fh.write(b"Male,half a row")
+    state = resume(pool_csv.parent, real_small.schema, cfg)
+    assert state.iteration == 2
+    assert pool_csv.read_bytes() == committed
+    run(real_small, cfg, OracleProposer(), tmp_path / "resumed", resume_from_checkpoint=True)
+    assert_same_outputs(tmp_path / "straight", tmp_path / "resumed")
+
+
+class _Killed(BaseException):
+    """Stands in for the process dying: no handler in the program catches it."""
+
+
+class _KillSwitch:
+    """Kills the run after the nth durable file step (fsync or rename) of
+    the checkpoint of one iteration, once."""
+
+    def __init__(self, iteration: int, nth: int) -> None:
+        self.iteration, self.nth = iteration, nth
+        self.armed = self.fired = False
+        self.steps: list[str] = []
+
+    def watch(self, fn, name: str):
+        def step(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            if self.armed and not self.fired:
+                self.steps.append(name)
+                if len(self.steps) == self.nth:
+                    self.fired = True
+                    raise _Killed(f"killed after {name} #{self.nth}")
+            return result
+        return step
+
+    def around_checkpoint(self, original):
+        def watched(state, directory, cfg):
+            self.armed = state.iteration == self.iteration
+            try:
+                original(state, directory, cfg)
+            finally:
+                self.armed = False
+        return watched
+
+
+def test_kill_at_every_checkpoint_step_then_resume(tmp_path, real_small, monkeypatch):
+    # a resumed leg (iterations 3-4) is killed inside the checkpoint of
+    # iteration 3 after each of its durable steps in turn: the pool append,
+    # the staged state.json, the staged manifest, the renames, the directory
+    # syncs. Resuming must then finish exactly like an uninterrupted run.
+    cfg = small_cfg(iterations=4)
+    run(real_small, cfg, OracleProposer(), tmp_path / "straight")
+    run(real_small, small_cfg(iterations=2), OracleProposer(), tmp_path / "leg1")
+    nth = 0
+    while True:
+        nth += 1
+        out = tmp_path / f"kill{nth}"
+        shutil.copytree(tmp_path / "leg1", out)
+        switch = _KillSwitch(iteration=3, nth=nth)
+        with monkeypatch.context() as m:
+            m.setattr(os, "fsync", switch.watch(os.fsync, "fsync"))
+            m.setattr(os, "replace", switch.watch(os.replace, "replace"))
+            m.setattr(loop, "checkpoint", switch.around_checkpoint(loop.checkpoint))
+            try:
+                run(real_small, cfg, OracleProposer(), out, resume_from_checkpoint=True)
+            except _Killed:
+                pass
+        if not switch.fired:
+            break
+        run(real_small, cfg, OracleProposer(), out, resume_from_checkpoint=True)
+        assert_same_outputs(tmp_path / "straight", out)
+    # the pool append, state and manifest staged, both renames: at least five
+    assert len(switch.steps) == nth - 1 >= 5, switch.steps
+
+
+def test_final_pool_csv_is_save_csv_of_returned_pool(tmp_path):
+    schema = VariableSchema((
+        Variable("shipping", Discrete(("ground", "air, express", 'say "fast"'))),
+        Variable("weight", Continuous(0.0, 20.0)),
+        Variable("tier", Discrete(("a", "b"))),
+    ))
+    rng = np.random.default_rng(4)
+    real = Dataset._from_coded(schema, [rng.integers(0, 3, 300),
+                                        rng.uniform(0.0, 20.0, 300),
+                                        rng.integers(0, 2, 300)])
+    cfg = LoopConfig(iterations=3, proposals_per_iter=3, batch_size=30,
+                     n_components=1, seed=2)
+    pool, _ = run(real, cfg, OracleProposer(), tmp_path / "run")
+    save_csv(pool, tmp_path / "whole.csv")
+    written = (tmp_path / "run" / "pool.csv").read_bytes()
+    assert written == (tmp_path / "whole.csv").read_bytes()
+    assert b'"air, express"' in written and b'"say ""fast"""' in written
 
 
 def test_resume_from_empty_directory(tmp_path, real_small):
