@@ -6,6 +6,22 @@ Wasserstein-1 integrates |F_p - F_q| over the merged sample grid; the
 two-sample classifier test trains gradient-boosted depth-2 trees (250
 rounds, learning rate 0.2) on integer-coded features with 5-fold
 cross-validation and reports |accuracy - 0.5|.
+
+The trees find splits on histograms (as in LightGBM). Feature j's code c
+owns bin offset[j] + c, the features grouped by code count so each group's
+histograms form one block; gradient bins come first, then hessian bins.
+One weighted bincount per tree level fills every histogram of that level,
+the right child's bins placed after the left's. Because bincount adds in
+row order, each bin equals the sum over that node's rows taken feature by
+feature; gains reduce each histogram row with cumsum and pairwise sum, as
+a 1-D reduction would, and leaf values sum each leaf's rows in row order.
+No child histogram is derived by subtracting its sibling from the parent,
+which would round differently. The classifier's trees, and so c2st_gap,
+are therefore bit-identical to a per-feature, per-node search.
+
+mmd_rbf takes its median-heuristic bandwidth from the condensed distance
+vector (pdist), whose entries equal the upper triangle of the full matrix,
+evaluates the kernel on that vector in place and expands it once.
 """
 
 from __future__ import annotations
@@ -13,7 +29,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import EmptyDataset, UnitMismatch
 from .discrepancy import compute_report
@@ -110,14 +126,19 @@ def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
 def mmd_rbf(x: np.ndarray, y: np.ndarray) -> float:
     """Maximum mean discrepancy with an RBF kernel, median-heuristic bandwidth."""
     pooled = np.vstack([x, y])
-    dists = cdist(pooled, pooled)
-    off_diag = dists[np.triu_indices(len(pooled), k=1)]
-    h = float(np.median(off_diag)) if len(off_diag) else 0.0
+    dists = pdist(pooled)
+    h = float(np.median(dists)) if len(dists) else 0.0
     if h == 0.0:
         return 0.0
     gamma = 1.0 / (2.0 * h * h)
     nx = len(x)
-    k = np.exp(-gamma * dists ** 2)
+    # exp(-gamma * d**2) in place on the condensed distances, then the full
+    # matrix, whose diagonal is exp(-gamma * 0) = 1
+    np.square(dists, out=dists)
+    dists *= -gamma
+    np.exp(dists, out=dists)
+    k = squareform(dists)
+    np.fill_diagonal(k, 1.0)
     kxx = k[:nx, :nx].mean()
     kyy = k[nx:, nx:].mean()
     kxy = k[:nx, nx:].mean()
@@ -165,21 +186,53 @@ def _integer_codes(real: Dataset, synth: Dataset, bins: int = 32) -> tuple[np.nd
     )
 
 
-def _best_split(
-    x: np.ndarray, grad: np.ndarray, hess: np.ndarray, sizes: np.ndarray, damp: float
-) -> tuple[float, int, int]:
-    """Highest-gain (feature, threshold) split; gain below zero means none."""
-    best = (1e-12, -1, -1)
-    for j in range(x.shape[1]):
-        g = np.bincount(x[:, j], weights=grad, minlength=sizes[j])
-        h = np.bincount(x[:, j], weights=hess, minlength=sizes[j])
-        gl, hl = np.cumsum(g)[:-1], np.cumsum(h)[:-1]
-        gt, ht = g.sum(), h.sum()
+def _histogram_layout(sizes: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, int, int]]]:
+    """Bin offsets that give every (feature, code) pair its own histogram bin.
+
+    Features are grouped by code count, each group's bins contiguous, so a
+    group's histograms form one (features, codes) block. Returns the offset
+    per feature and the groups as (feature ids, first bin, codes per feature).
+    """
+    offsets = np.empty(len(sizes), dtype=np.int64)
+    groups = []
+    start = 0
+    for size in np.unique(sizes).tolist():
+        ids = np.flatnonzero(sizes == size)
+        offsets[ids] = start + size * np.arange(len(ids))
+        groups.append((ids, start, size))
+        start += size * len(ids)
+    return offsets, groups
+
+
+def _best_splits(
+    hist: np.ndarray, groups: list[tuple[np.ndarray, int, int]], damp: float
+) -> list[tuple[int, int]]:
+    """Highest-gain (feature, threshold) split per node.
+
+    hist[0, node] and hist[1, node] are the node's gradient and hessian
+    histograms. The first feature reaching a node's largest gain wins; a gain
+    not above 1e-12 means no split, returned as feature -1.
+    """
+    n_nodes = hist.shape[1]
+    n_feat = sum(len(ids) for ids, _, _ in groups)
+    best_gain = np.full((n_nodes, n_feat), -np.inf)
+    best_t = np.zeros((n_nodes, n_feat), dtype=np.int64)
+    for ids, start, size in groups:
+        if size < 2:
+            continue  # a single code offers no threshold
+        block = hist[:, :, start:start + size * len(ids)].reshape(2, n_nodes, len(ids), size)
+        # along the last axis cumsum adds in order and sum pairwise, exactly
+        # as on each feature's 1-D histogram
+        left = np.cumsum(block, axis=3)[..., :-1]
+        gl, hl = left[0], left[1]
+        gt, ht = block.sum(axis=3, keepdims=True)
         gain = gl**2 / (hl + damp) + (gt - gl) ** 2 / (ht - hl + damp) - gt**2 / (ht + damp)
-        m = int(np.argmax(gain))
-        if gain[m] > best[0]:
-            best = (float(gain[m]), j, m)
-    return best
+        best_gain[:, ids] = gain.max(axis=2)
+        best_t[:, ids] = gain.argmax(axis=2)
+    splits = []
+    for node, j in enumerate(np.argmax(best_gain, axis=1).tolist()):
+        splits.append((j, int(best_t[node, j])) if best_gain[node, j] > 1e-12 else (-1, -1))
+    return splits
 
 
 # one depth-2 tree: root split, then (feature, threshold, left value, right
@@ -190,34 +243,48 @@ _Tree = tuple[tuple[int, int], tuple[tuple[int, int, float, float], tuple[int, i
 def _boost(
     x: np.ndarray, y: np.ndarray, sizes: np.ndarray, rounds: int, rate: float, damp: float
 ) -> list[_Tree]:
-    """Gradient boosting with depth-2 trees and Newton leaf values."""
-    score = np.zeros(len(y))
+    """Gradient boosting with depth-2 trees and Newton leaf values.
+
+    Codes in column j must lie in [0, sizes[j]). Each round takes two
+    bincounts (module docstring): the root's histograms, then both children's.
+    """
+    n, n_feat = x.shape
+    offsets, groups = _histogram_layout(sizes)
+    total = int(sizes.sum())
+    codes = x + offsets
+    # (gradient or hessian, row, feature), flattened like the weights below
+    root = np.concatenate([codes.ravel(), codes.ravel() + total])
+    score = np.zeros(n)
     trees: list[_Tree] = []
     for _ in range(rounds):
         p = _sigmoid(score)
         grad, hess = y - p, p * (1.0 - p)
-        gain, j1, t1 = _best_split(x, grad, hess, sizes, damp)
+        weights = np.repeat(np.concatenate([grad, hess]), n_feat)
+        hist = np.bincount(root, weights=weights, minlength=2 * total)
+        [(j1, t1)] = _best_splits(hist.reshape(2, 1, total), groups, damp)
         if j1 < 0:
             break
-        left = x[:, j1] <= t1
+        right = x[:, j1] > t1
+        shift = np.where(right, total, 0)
+        child = root + np.repeat(np.concatenate([shift, shift + total]), n_feat)
+        hist = np.bincount(child, weights=weights, minlength=4 * total)
+        splits = _best_splits(hist.reshape(2, 2, total), groups, damp)
+        # leaf = 2 * side + sub-side; a side with no split keeps sub-side 0
+        sub = [x[:, j2] > t2 if j2 >= 0 else 0 for j2, t2 in splits]
+        leaf = np.where(right, 2 + sub[1], sub[0]).astype(np.int8)
+        # rows grouped by leaf in row order, so each leaf sums its rows in row order
+        order = np.argsort(leaf, kind="stable")
+        ends = np.cumsum(np.bincount(leaf, minlength=4)).tolist()
+        g, h = grad[order], hess[order]
+        vals = [g[a:b].sum() / (h[a:b].sum() + damp) for a, b in zip([0] + ends[:-1], ends)]
         nodes = []
-        update = np.zeros(len(y))
-        for mask in (left, ~left):
-            gain2, j2, t2 = _best_split(x[mask], grad[mask], hess[mask], sizes, damp)
+        for k, (j2, t2) in enumerate(splits):
             if j2 >= 0:
-                sub = x[mask][:, j2] <= t2
-                val_l = grad[mask][sub].sum() / (hess[mask][sub].sum() + damp)
-                val_r = grad[mask][~sub].sum() / (hess[mask][~sub].sum() + damp)
-                nodes.append((j2, t2, val_l, val_r))
-                side = x[:, j2] <= t2
-                update[mask & side] = val_l
-                update[mask & ~side] = val_r
+                nodes.append((j2, t2, vals[2 * k], vals[2 * k + 1]))
             else:
-                val = grad[mask].sum() / (hess[mask].sum() + damp)
-                nodes.append((-1, 0, val, val))
-                update[mask] = val
+                nodes.append((-1, 0, vals[2 * k], vals[2 * k]))
         trees.append(((j1, t1), (nodes[0], nodes[1])))
-        score += rate * update
+        score += rate * np.array(vals)[leaf]
     return trees
 
 

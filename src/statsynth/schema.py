@@ -296,8 +296,42 @@ def save_csv(data: Dataset, path: str | Path) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _parse_column(var: Variable, cells: Sequence[str]) -> tuple[np.ndarray, int | None]:
+    """One CSV column in internal form, plus the first row _encode_value rejects.
+
+    Rejects exactly what _encode_value rejects for a string cell: a string
+    that is not a category, or one float() cannot parse, or a number that is
+    non-finite or outside the bounds.
+    """
+    kind = var.kind
+    if isinstance(kind, Discrete):
+        lookup = {c: i for i, c in enumerate(kind.categories)}
+        col = np.array([lookup.get(c, -1) for c in cells], dtype=np.int64)
+        bad = col < 0
+    else:
+        try:
+            col = np.array(list(map(float, cells)), dtype=np.float64)
+        except ValueError:
+            col = np.array([_float_or_nan(c) for c in cells], dtype=np.float64)
+        # NaN fails both comparisons, infinities one of them
+        bad = ~((col >= kind.lower) & (col <= kind.upper))
+    hits = np.flatnonzero(bad)
+    return col, (int(hits[0]) if len(hits) else None)
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
 def load_csv(path: str | Path, schema: VariableSchema) -> Dataset:
-    """Read a CSV written by save_csv (or compatible) and validate every cell."""
+    """Read a CSV written by save_csv (or compatible) and validate every cell.
+
+    Cells are parsed column by column. On the first rejected cell in
+    row-major order, _encode_value raises the error for that cell.
+    """
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -313,15 +347,28 @@ def load_csv(path: str | Path, schema: VariableSchema) -> Dataset:
             if extra:
                 raise SchemaMismatch(f"unknown columns in {path}: {extra}")
             order = [header.index(n) for n in schema.names]
-            records = []
+            rows = []
             for i, row in enumerate(reader):
                 if len(row) != len(header):
                     raise TypeMismatch(i, min(len(row), len(header) - 1),
                                        f"expected {len(header)} fields, found {len(row)}")
-                records.append(tuple(row[j] for j in order))
+                rows.append(row)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return Dataset.from_records(schema, records)
+    if not rows:
+        return Dataset.empty(schema)
+    cells = list(zip(*rows))
+    columns, rejected = [], []
+    for j, var in enumerate(schema):
+        col, bad_row = _parse_column(var, cells[order[j]])
+        columns.append(col)
+        if bad_row is not None:
+            rejected.append((bad_row, j))
+    if rejected:
+        i, j = min(rejected)
+        _encode_value(schema.variables[j], cells[order[j]][i], i, j)
+        raise AssertionError(f"row {i}, column {j}: rejected by the column parse only")
+    return Dataset(schema, tuple(columns))
 
 
 # ---------------------------------------------------------------------------

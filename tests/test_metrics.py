@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.spatial.distance import cdist
 from scipy.stats import wasserstein_distance
 
-from statsynth import errors
+from statsynth import errors, metrics
 from statsynth.metrics import (
     c2st_gap,
     encode_features,
@@ -145,6 +146,58 @@ def test_mmd_identity_and_separation(rng):
     assert mmd_rbf(z, z) == 0.0
 
 
+def reference_mmd_rbf(x, y):
+    """mmd_rbf on the full distance matrix, median over its upper triangle."""
+    pooled = np.vstack([x, y])
+    dists = cdist(pooled, pooled)
+    off_diag = dists[np.triu_indices(len(pooled), k=1)]
+    h = float(np.median(off_diag)) if len(off_diag) else 0.0
+    if h == 0.0:
+        return 0.0
+    gamma = 1.0 / (2.0 * h * h)
+    nx = len(x)
+    k = np.exp(-gamma * dists ** 2)
+    kxx = k[:nx, :nx].mean()
+    kyy = k[nx:, nx:].mean()
+    kxy = k[:nx, nx:].mean()
+    return float(np.sqrt(max(0.0, kxx + kyy - 2.0 * kxy)))
+
+
+@st.composite
+def mmd_samples(draw):
+    """Two samples of rows drawn from a small pool, so rows repeat."""
+    dim = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=(draw(st.integers(1, 12)), dim))
+    nx, ny = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    return pool[rng.integers(0, len(pool), nx)], pool[rng.integers(0, len(pool), ny)]
+
+
+@given(mmd_samples())
+@settings(max_examples=80, deadline=None)
+def test_mmd_equals_full_matrix_form(xy):
+    x, y = xy
+    assert mmd_rbf(x, y) == reference_mmd_rbf(x, y)
+
+
+def test_mmd_equals_full_matrix_form_edge_cases(rng, ref_2k):
+    x = rng.normal(size=(30, 3))
+    same = np.ones((7, 3))
+    cases = [
+        (x[:20], x[20:]),            # nx != ny
+        (x[:1], x[1:]),              # one-row side
+        (x[5:], x[:1]),
+        (np.vstack([x, x]), x[:4]),  # duplicate rows
+        (same, same[:2]),            # all rows identical: h = 0
+    ]
+    xr, xs = encode_features(ref_2k, generate(EcommerceParams(), 300, seed=4))
+    cases.append((xr[:500], xs))
+    for a, b in cases:
+        assert mmd_rbf(a, b) == reference_mmd_rbf(a, b)
+    assert mmd_rbf(same, same[:2]) == 0.0
+
+
 def test_encode_features_shapes(ref_2k):
     small = generate(EcommerceParams(), 100, seed=9)
     a, b = encode_features(ref_2k, small)
@@ -177,6 +230,93 @@ def test_c2st_detects_shifted_numeric(rng):
 def test_c2st_deterministic(ref_2k):
     noise = generate(EcommerceParams(), 500, seed=5)
     assert c2st_gap(ref_2k, noise, seed=0) == c2st_gap(ref_2k, noise, seed=0)
+
+
+def reference_best_split(x, grad, hess, sizes, damp):
+    """Per-feature split search: two bincounts per feature over one node's rows."""
+    best = (1e-12, -1, -1)
+    for j in range(x.shape[1]):
+        g = np.bincount(x[:, j], weights=grad, minlength=sizes[j])
+        h = np.bincount(x[:, j], weights=hess, minlength=sizes[j])
+        gl, hl = np.cumsum(g)[:-1], np.cumsum(h)[:-1]
+        gt, ht = g.sum(), h.sum()
+        gain = gl**2 / (hl + damp) + (gt - gl) ** 2 / (ht - hl + damp) - gt**2 / (ht + damp)
+        m = int(np.argmax(gain))
+        if gain[m] > best[0]:
+            best = (float(gain[m]), j, m)
+    return best
+
+
+def reference_boost(x, y, sizes, rounds, rate, damp):
+    """metrics._boost with each node's rows copied out and searched feature by feature."""
+    score = np.zeros(len(y))
+    trees = []
+    for _ in range(rounds):
+        p = 1.0 / (1.0 + np.exp(-np.clip(score, -30.0, 30.0)))
+        grad, hess = y - p, p * (1.0 - p)
+        gain, j1, t1 = reference_best_split(x, grad, hess, sizes, damp)
+        if j1 < 0:
+            break
+        left = x[:, j1] <= t1
+        nodes = []
+        update = np.zeros(len(y))
+        for mask in (left, ~left):
+            gain2, j2, t2 = reference_best_split(x[mask], grad[mask], hess[mask], sizes, damp)
+            if j2 >= 0:
+                sub = x[mask][:, j2] <= t2
+                val_l = grad[mask][sub].sum() / (hess[mask][sub].sum() + damp)
+                val_r = grad[mask][~sub].sum() / (hess[mask][~sub].sum() + damp)
+                nodes.append((j2, t2, val_l, val_r))
+                side = x[:, j2] <= t2
+                update[mask & side] = val_l
+                update[mask & ~side] = val_r
+            else:
+                val = grad[mask].sum() / (hess[mask].sum() + damp)
+                nodes.append((-1, 0, val, val))
+                update[mask] = val
+        trees.append(((j1, t1), (nodes[0], nodes[1])))
+        score += rate * update
+    return trees
+
+
+@st.composite
+def boosting_problems(draw):
+    """Code matrices with mixed code counts, constant columns and skewed labels."""
+    n = draw(st.integers(1, 80))
+    sizes = np.array(draw(st.lists(st.sampled_from([2, 3, 4, 5, 32]), min_size=1, max_size=7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for size in sizes.tolist():
+        if draw(st.booleans()):
+            cols.append(rng.integers(0, size, n))
+        else:
+            cols.append(np.full(n, draw(st.integers(0, size - 1))))
+    y = (rng.random(n) < draw(st.floats(0.0, 1.0))).astype(np.float64)
+    return np.column_stack(cols).astype(np.int64), y, sizes
+
+
+@given(boosting_problems())
+@settings(max_examples=120, deadline=None)
+def test_boost_equals_per_feature_reference(problem):
+    x, y, sizes = problem
+    # tree tuples hold the leaf values, so equality is bit for bit
+    assert metrics._boost(x, y, sizes, 25, 0.2, 1.0) == reference_boost(x, y, sizes, 25, 0.2, 1.0)
+
+
+def test_c2st_equals_per_feature_reference(ref_2k, monkeypatch):
+    others = [generate(EcommerceParams(), 1200, seed=5), generate(EcommerceParams(), 2000, seed=12)]
+    fast = [c2st_gap(ref_2k, other) for other in others]
+    monkeypatch.setattr(metrics, "_boost", reference_boost)
+    assert fast == [c2st_gap(ref_2k, other) for other in others]
+
+
+def test_c2st_single_category_column(rng):
+    # a one-code feature offers no split; the other feature still separates
+    schema = VariableSchema((Variable("k", Discrete(("only",))),
+                             Variable("x", Continuous(-100.0, 100.0))))
+    a = Dataset.from_columns(schema, {"k": ["only"] * 300, "x": rng.normal(0, 1, 300)})
+    b = Dataset.from_columns(schema, {"k": ["only"] * 300, "x": rng.normal(4, 1, 300)})
+    assert c2st_gap(a, b) >= 0.4
 
 
 def test_metric_suite_layout(ref_2k):

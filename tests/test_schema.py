@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -200,3 +201,61 @@ def test_csv_round_trip_property(tmp_path_factory, rows):
     back = load_csv(path, schema)
     # repr round-trips floats exactly, so equality is exact, not approximate
     assert back.equals(data)
+
+
+def reference_load_csv(path, schema):
+    """load_csv validating row by row: every record through Dataset.from_records."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        order = [header.index(n) for n in schema.names]
+        records = []
+        for i, row in enumerate(reader):
+            if len(row) != len(header):
+                raise errors.TypeMismatch(i, min(len(row), len(header) - 1),
+                                          f"expected {len(header)} fields, found {len(row)}")
+            records.append(tuple(row[j] for j in order))
+    return Dataset.from_records(schema, records)
+
+
+GARBLED_SCHEMA = VariableSchema((
+    Variable("c", Discrete(("x", "y", "with,comma"))),
+    Variable("u", Continuous(-5.0, 5.0)),
+    Variable("v", Continuous(0.0, 1.0)),
+))
+
+garbled_cells = st.one_of(
+    st.sampled_from(["", " ", "x", "y", "X", "x ", "with,comma", "nan", "-inf", "inf", "1e999",
+                     "1_0", " 0.5 ", "0x1", "1,5", "\"q\"", "-0.0", "5", "5.000001", "-5"]),
+    st.floats(-6.0, 6.0).map(repr),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def garbled_tables(draw):
+    """CSV rows in schema column order, each cell valid or garbled."""
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        valid = [draw(st.sampled_from(["x", "y", "with,comma"])),
+                 repr(draw(st.floats(-5.0, 5.0))), repr(draw(st.floats(0.0, 1.0)))]
+        rows.append([cell if draw(st.integers(0, 5)) else draw(garbled_cells) for cell in valid])
+    return rows
+
+
+@given(rows=garbled_tables())
+@settings(max_examples=300, deadline=None)
+def test_load_csv_matches_row_by_row_validation(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("garbled") / "g.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([list(GARBLED_SCHEMA.names)] + rows)
+    try:
+        expected = reference_load_csv(path, GARBLED_SCHEMA)
+    except errors.SynthError as exc:
+        with pytest.raises(type(exc)) as got:
+            load_csv(path, GARBLED_SCHEMA)
+        assert (str(got.value), got.value.row, got.value.column) == (str(exc), exc.row, exc.column)
+    else:
+        back = load_csv(path, GARBLED_SCHEMA)
+        assert back.equals(expected)
+        assert [c.dtype for c in back.columns] == [c.dtype for c in expected.columns]
