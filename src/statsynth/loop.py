@@ -50,9 +50,7 @@ class LoopConfig:
     batch_size: int = 200
     n_components: int = 3
     seed: int = 0
-    n_bins: int = 6
     full_metrics_every: int = 10
-    cache_components: bool = False
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -65,8 +63,6 @@ class LoopConfig:
             raise errors.ConfigError("n_components must be >= 1")
         if self.seed < 0:
             raise errors.ConfigError("seed must be >= 0")
-        if self.n_bins < 2:
-            raise errors.ConfigError("n_bins must be >= 2")
         if self.full_metrics_every < 0:
             raise errors.ConfigError("full_metrics_every must be >= 0")
 
@@ -181,8 +177,7 @@ class PoolLog:
         self.size += len(data)
 
 
-_ECHO_FIELDS = ("proposals_per_iter", "batch_size", "n_components", "seed",
-                "n_bins", "cache_components")
+_ECHO_FIELDS = ("proposals_per_iter", "batch_size", "n_components", "seed")
 
 
 def checkpoint(state: LoopState, directory: str | Path, cfg: LoopConfig) -> None:
@@ -393,19 +388,17 @@ def run(
     elif outputs is not None:
         outputs.reset()
 
-    specs = fit_all_bins(real, cfg.n_bins)
+    specs = fit_all_bins(real)
     real_codes = encode(real, specs)
     pool_codes = encode(state.pool, specs)
     real_marginals = compute_summaries(real_codes, specs)
-    components = None
     for t in range(state.iteration + 1, cfg.iterations + 1):
-        if components is None or not cfg.cache_components:
-            components = proposer.infer_components(ComponentContext(
-                schema, real, real_marginals, specs,
-                n_components=cfg.n_components,
-                seed=_iteration_seed(cfg.seed, t, 1),
-                batch_size=cfg.batch_size,
-            ))
+        components = proposer.infer_components(ComponentContext(
+            schema, real, real_marginals, specs,
+            n_components=cfg.n_components,
+            seed=_iteration_seed(cfg.seed, t, 1),
+            batch_size=cfg.batch_size,
+        ))
         refined = refine_all_bins(specs, real_codes, pool_codes)
         real_sum = compute_summaries(real_codes, specs, components, refined)
         pool_sum = compute_summaries(pool_codes, specs, components, refined)
@@ -442,7 +435,7 @@ def run(
         # cadence-anchored (not horizon-anchored) so a resumed run logs the
         # same rows an uninterrupted one would
         if cfg.full_metrics_every and t % cfg.full_metrics_every == 0:
-            row["full"] = metric_suite(real, pool, components, cfg.n_bins)
+            row["full"] = metric_suite(real, pool, components)
         state.history.append(row)
         state.report = reported
 

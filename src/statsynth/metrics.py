@@ -361,7 +361,6 @@ def metric_suite(
     real: Dataset,
     synth: Dataset,
     components: Sequence[StructuralComponent] = (),
-    bins: int = 6,
     seed: int = 0,
     cap: int = 2000,
 ) -> dict:
@@ -370,7 +369,7 @@ def metric_suite(
         raise EmptyDataset("metric_suite needs non-empty datasets")
     if real.schema != synth.schema:
         raise UnitMismatch("real and synth datasets have different schemas")
-    specs = fit_all_bins(real, bins)
+    specs = fit_all_bins(real)
     real_sum, synth_sum = evaluation_summaries(
         encode(real, specs), encode(synth, specs), specs, components)
     report = compute_report(real_sum, synth_sum)

@@ -2,23 +2,29 @@
 
 Each call computes, for every report unit, the batch histogram that moves
 the pooled mixture maximally toward the real table subject to feasibility
-(proportions cannot go negative). A batch distribution satisfying all of
-those unit targets at once is fitted by iterative proportional fitting
-over the occupied cells of the real dataset at main-bin resolution; the
-unit with the largest discrepancy is fitted last in every sweep so its
-correction is exact. The fitted joint is then realized as integer counts
-variable by variable, with each variable's batch-level label totals pinned
-to the fitted marginal, so every marginal and every component joint (not
-only the targeted unit) inherits the one-step descent bound. With the pool
-matching the real data the fit is the real lattice itself and the batch
-reduces to sampling the real distribution. Continuous mass is allocated at
-eight-sub-bin resolution inside every main bin, matching the real
-within-bin composition (or the corrective composition, for the currently
-refined bin), so later refinement of any bin does not uncover fresh
-mismatch.
+(proportions cannot go negative), over the unit's dense cell array. A batch
+distribution satisfying all of those unit targets at once is fitted by
+iterative proportional fitting over the non-empty cells of the real dataset
+at main-bin resolution; the unit with the largest discrepancy is fitted
+last in every sweep so its correction is exact. The fitted joint is then
+realized as integer counts variable by variable, with each variable's
+batch-level totals pinned to the fitted marginal, so every marginal and
+every component joint (not only the targeted unit) inherits the one-step
+descent bound. With the pool matching the real data the fit is the real
+lattice itself and the batch reduces to sampling the real distribution.
+Continuous mass is allocated at eight-sub-bin resolution inside every main
+bin, matching the real within-bin composition (or the corrective
+composition, for the currently refined bin), so later refinement of any bin
+does not uncover fresh mismatch.
+
+The batch plan is an integer matrix of codes, one row per set of
+interchangeable batch slots, plus a count per row: filling a variable
+splits every row by category or main-bin code, and the sub-bin stage turns
+each continuous column into fine codes 8*main + sub. Rows are decoded into
+proposals once, at the end, in the order the fill produced them.
 
 Integerization uses randomized largest-remainder apportionment (unbiased)
-and a transportation rounding that keeps group rows and label columns
+and a transportation rounding that keeps plan rows and code columns
 exactly at their integer totals.
 """
 from __future__ import annotations
@@ -38,9 +44,7 @@ from .summaries import (
     encode,
     joint_counts,
     main_codes,
-    occupied,
     sub_detail,
-    unit_labels,
 )
 
 
@@ -96,7 +100,7 @@ def _transport_round(
 ) -> np.ndarray:
     """Round a non-negative matrix to integers with exact row and col sums.
 
-    row_sums are the actual group sizes; col_sums the desired label totals
+    row_sums are the actual group sizes; col_sums the desired column totals
     (both integer, equal grand total). After flooring, leftover counts are
     placed by weighted random draws over the fractional remainders. A
     deterministic largest-remainder pass would break ties by position, and
@@ -232,25 +236,14 @@ def _grow(
 # batch construction
 
 
-class _Group:
-    """A set of interchangeable batch slots sharing one partial assignment."""
-
-    __slots__ = ("assigns", "codes", "count")
-
-    def __init__(self, assigns, codes, count):
-        self.assigns: dict[str, object] = assigns
-        self.codes: dict[str, int] = codes      # main-bin or category code
-        self.count: int = count
-
-
 class _Lattice:
-    """Occupied cells of the real dataset at main-bin resolution."""
+    """Non-empty cells of the real dataset at main-bin resolution."""
 
     __slots__ = ("codes", "weights", "dims", "pos")
 
     def __init__(self, codes, weights, dims, pos):
-        self.codes: np.ndarray = codes          # (n_occupied, n_vars) int64
-        self.weights: np.ndarray = weights      # (n_occupied,) sums to 1
+        self.codes: np.ndarray = codes          # (n_cells, n_vars) int64
+        self.weights: np.ndarray = weights      # (n_cells,) sums to 1
         self.dims: tuple[int, ...] = dims
         self.pos: dict[str, int] = pos
 
@@ -284,30 +277,20 @@ def _unit_constraints(
     """
     cons: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     sub_rows: dict[str, tuple[int, np.ndarray]] = {}
-    for name, unit in ctx.report.marginals.items():
+    variables = {c.id: c.variables for c in ctx.components}
+    for name, unit in ctx.report.units.items():
         h, _ = ideal_batch_histogram(unit.real, unit.synth, ctx.pool_size, ctx.batch_size)
         r = ctx.real_summaries.refined.get(name)
         if r is not None:
             row = h[r:r + SUB_BINS]
-            if row.sum() > 0.0:
-                sub_rows[name] = (r, row / row.sum())
-            # summed in sequence, not pairwise: this sum also decides last bits
-            h = np.concatenate([h[:r], np.cumsum(row)[-1:], h[r + SUB_BINS:]])
-        cons[name] = (h, lattice.codes[:, lattice.pos[name]])
-    labels = unit_labels(ctx.real_summaries, ctx.schema, ctx.bin_specs)
-    for cid, unit in ctx.report.joints.items():
-        comp = next(c for c in ctx.components if c.id == cid)
-        # the target's normalising sum depends on summation order in its last
-        # bit, which integer rounding can amplify: sum over the occupied cells
-        # in label order, the order the report payload lists them in
-        cells = occupied(labels[cid], unit.real, unit.synth)
-        h = np.zeros(unit.real.size)
-        h[cells] = ideal_batch_histogram(
-            unit.real[cells], unit.synth[cells], ctx.pool_size, ctx.batch_size)[0]
-        axes = [lattice.pos[v] for v in comp.variables]
+            mass = row.sum()
+            if mass > 0.0:
+                sub_rows[name] = (r, row / mass)
+            h = np.concatenate([h[:r], [mass], h[r + SUB_BINS:]])
+        axes = [lattice.pos[v] for v in variables.get(name, (name,))]
         idx = np.ravel_multi_index(tuple(lattice.codes[:, a] for a in axes),
                                    tuple(lattice.dims[a] for a in axes))
-        cons[cid] = (h, idx)
+        cons[name] = (h, idx)
     return cons, sub_rows
 
 
@@ -372,108 +355,95 @@ class OracleProposer:
         lattice = _real_lattice(ctx)
         cons, sub_rows = _unit_constraints(ctx, lattice)
         w = _ipf(lattice, cons, target)
-        groups = [_Group({}, {}, ctx.batch_size)]
-        for var in _var_order(ctx, target):
-            groups = self._fill_variable(ctx, lattice, w, groups, var, rng)
-        for var in ctx.schema.names:
-            if isinstance(ctx.schema.kind(var), Continuous):
-                groups = self._sub_split(ctx, groups, var, sub_rows.get(var), rng)
-        return _merge_groups(groups, target)
+        filled = [lattice.pos[var] for var in _var_order(ctx, target)]
+        codes = np.zeros((1, 0), dtype=np.int64)
+        counts = np.array([ctx.batch_size], dtype=np.int64)
+        for i, col in enumerate(filled):
+            codes, counts = _fill_variable(lattice, w, filled[:i], codes, counts, col, rng)
+        codes = codes[:, np.argsort(filled)]  # columns in schema order
+        for col, var in enumerate(ctx.schema):
+            if isinstance(var.kind, Continuous):
+                detail = sub_detail(ctx.real_codes, ctx.bin_specs[var.name])
+                if var.name in sub_rows:
+                    bin_i, row = sub_rows[var.name]
+                    detail[bin_i] = row
+                codes, counts = _sub_split(codes, counts, col, detail, rng)
+        return _decode(ctx, codes, counts, f"close the largest gap ({target})")
 
-    # -- main-resolution fill ------------------------------------------------
 
-    def _fill_variable(self, ctx, lattice: _Lattice, w, groups, var, rng) -> list[_Group]:
-        col = lattice.pos[var]
-        n_labels = lattice.dims[col]
-        marg = np.bincount(lattice.codes[:, col], weights=w, minlength=n_labels)
-        rows = np.array([g.count for g in groups], dtype=np.int64)
-        cols = _apportion(marg, int(rows.sum()), rng)
-        assigned = list(groups[0].codes)
-        if assigned:
-            acols = [lattice.pos[v] for v in assigned]
-            dims = tuple(lattice.dims[c] for c in acols)
-            cell_keys = np.ravel_multi_index(tuple(lattice.codes[:, c] for c in acols), dims)
-            sort_idx = np.argsort(cell_keys, kind="stable")
-            sorted_keys = cell_keys[sort_idx]
-            fallback = marg / marg.sum() if marg.sum() > 0 else np.full(n_labels, 1.0 / n_labels)
-            p_rows = []
-            for g in groups:
-                key = int(np.ravel_multi_index(
-                    tuple([g.codes[v]] for v in assigned), dims)[0])
-                lo = np.searchsorted(sorted_keys, key, side="left")
-                hi = np.searchsorted(sorted_keys, key, side="right")
-                sel = sort_idx[lo:hi]
-                row = np.bincount(lattice.codes[sel, col], weights=w[sel], minlength=n_labels)
-                total = row.sum()
-                p_rows.append(row / total if total > 0.0 else fallback)
-            p_matrix = np.stack(p_rows)
+def _fill_variable(lattice: _Lattice, w: np.ndarray, filled: list[int], codes: np.ndarray,
+                   counts: np.ndarray, col: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Split every plan row by the main-bin or category code of lattice column col.
+
+    Plan row g holds codes[g] for the lattice columns filled (in that order)
+    and counts[g] batch slots; no two rows hold the same codes. Its code
+    distribution is the w-weighted distribution of col over the lattice
+    cells that agree with codes[g]; batch-level code totals are apportioned
+    from col's fitted marginal.
+    """
+    n_codes = lattice.dims[col]
+    marg = np.bincount(lattice.codes[:, col], weights=w, minlength=n_codes)
+    col_totals = _apportion(marg, int(counts.sum()), rng)
+    row_keys = np.zeros(len(codes), dtype=np.int64)
+    cell_keys = np.zeros(len(lattice.codes), dtype=np.int64)
+    for j, c in enumerate(filled):
+        row_keys = row_keys * lattice.dims[c] + codes[:, j]
+        cell_keys = cell_keys * lattice.dims[c] + lattice.codes[:, c]
+    order = np.argsort(row_keys)
+    pos = np.searchsorted(row_keys[order], cell_keys).clip(max=len(order) - 1)
+    member = row_keys[order[pos]] == cell_keys
+    # weights add up in lattice order within every (row, code) bin
+    table = np.bincount(order[pos[member]] * n_codes + lattice.codes[member, col],
+                        weights=w[member], minlength=len(codes) * n_codes)
+    table = table.reshape(len(codes), n_codes)
+    total = table.sum(axis=1, keepdims=True)
+    fallback = marg / marg.sum() if marg.sum() > 0 else np.full(n_codes, 1.0 / n_codes)
+    p = np.divide(table, total, out=np.tile(fallback, (len(codes), 1)), where=total > 0.0)
+    alloc = _transport_round(p * counts[:, None], counts, col_totals, rng)
+    g, code = np.nonzero(alloc)
+    return np.column_stack([codes[g], code]), alloc[g, code]
+
+
+def _sub_split(codes: np.ndarray, counts: np.ndarray, col: int, detail: np.ndarray,
+               rng) -> tuple[np.ndarray, np.ndarray]:
+    """Split plan rows by sub-bin inside their main bin of column col.
+
+    Rows are taken main bin by main bin; each bin's slots are apportioned
+    over its eight sub-bins by the composition detail[bin]. Column col goes
+    from main-bin code to fine code 8*main + sub.
+    """
+    out_codes, out_counts = [], []
+    for i in np.unique(codes[:, col]):
+        members = np.flatnonzero(codes[:, col] == i)
+        rows = counts[members]
+        cols = _apportion(detail[i], int(rows.sum()), rng)
+        alloc = _transport_round(np.tile(detail[i], (len(members), 1)) * rows[:, None],
+                                 rows, cols, rng)
+        g, sub = np.nonzero(alloc)
+        split = codes[members[g]]
+        split[:, col] = SUB_BINS * i + sub
+        out_codes.append(split)
+        out_counts.append(alloc[g, sub])
+    return np.concatenate(out_codes), np.concatenate(out_counts)
+
+
+def _decode(ctx: ProposerContext, codes: np.ndarray, counts: np.ndarray,
+            rationale: str) -> list[Proposal]:
+    """One proposal per plan row, in row order.
+
+    codes has one column per schema variable: a category code, or the fine
+    code of a continuous variable.
+    """
+    choices = []
+    for var in ctx.schema:
+        if isinstance(var.kind, Discrete):
+            choices.append([FixedCategory(c) for c in var.kind.categories])
         else:
-            base = marg / marg.sum() if marg.sum() > 0 else np.full(n_labels, 1.0 / n_labels)
-            p_matrix = np.tile(base, (len(groups), 1))
-        alloc = _transport_round(p_matrix * rows[:, None], rows, cols, rng)
-        # a continuous variable gets its range from the sub-split stage
-        kind = ctx.schema.kind(var)
-        out: list[_Group] = []
-        for gi, g in enumerate(groups):
-            for li in np.flatnonzero(alloc[gi]):
-                assigns = g.assigns
-                if isinstance(kind, Discrete):
-                    assigns = {**assigns, var: FixedCategory(kind.categories[li])}
-                out.append(_Group(assigns, {**g.codes, var: int(li)}, int(alloc[gi, li])))
-        return out
-
-    # -- sub-bin resolution ----------------------------------------------------
-
-    def _sub_split(self, ctx, groups, var, corrective, rng) -> list[_Group]:
-        spec = ctx.bin_specs[var]
-        detail = sub_detail(ctx.real_codes, spec)
-        if corrective is not None:
-            bin_i, row = corrective
-            detail[bin_i] = row
-        by_bin: dict[int, list[_Group]] = {}
-        for g in groups:
-            by_bin.setdefault(g.codes[var], []).append(g)
-        out: list[_Group] = []
-        for i in sorted(by_bin):
-            members = by_bin[i]
-            rows = np.array([g.count for g in members], dtype=np.int64)
-            cols = _apportion(detail[i], int(rows.sum()), rng)
-            p_matrix = np.tile(detail[i], (len(members), 1))
-            alloc = _transport_round(p_matrix * rows[:, None], rows, cols, rng)
-            edges = spec.sub_edges(i)
-            for gi, g in enumerate(members):
-                for j in np.flatnonzero(alloc[gi]):
-                    out.append(_Group(
-                        {**g.assigns, var: Range(float(edges[j]), float(edges[j + 1]))},
-                        g.codes, int(alloc[gi, j])))
-        return out
-
-
-def _assignment_key(assigns: dict[str, object]) -> tuple:
-    parts = []
-    for var in sorted(assigns):
-        v = assigns[var]
-        if isinstance(v, FixedCategory):
-            parts.append((var, "c", v.value))
-        else:
-            parts.append((var, "r", v.lo, v.hi))
-    return tuple(parts)
-
-
-def _merge_groups(groups: list[_Group], target: str) -> list[Proposal]:
-    merged: dict[tuple, tuple[dict, int]] = {}
-    for g in groups:
-        if g.count <= 0:
-            continue
-        key = _assignment_key(g.assigns)
-        if key in merged:
-            assigns, count = merged[key]
-            merged[key] = (assigns, count + g.count)
-        else:
-            merged[key] = (dict(g.assigns), g.count)
-    rationale = f"close the largest gap ({target})"
-    return [
-        Proposal(assigns, count, rationale)
-        for key, (assigns, count) in sorted(merged.items(), key=lambda kv: kv[0])
-    ]
-
+            spec = ctx.bin_specs[var.name]
+            edges = [spec.sub_edges(i) for i in range(spec.n_main)]
+            choices.append([Range(float(e[j]), float(e[j + 1]))
+                            for e in edges for j in range(SUB_BINS)])
+    names = ctx.schema.names
+    return [Proposal({name: options[code] for name, options, code in zip(names, choices, row)},
+                     count, rationale)
+            for row, count in zip(codes.tolist(), counts.tolist())]

@@ -253,13 +253,14 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, real_small):
 
 
 def test_resume_accepts_echo_of_removed_fields(tmp_path, real_small):
-    # checkpoints once echoed the unused tolerance and threshold settings
+    # checkpoints once echoed the unused tolerance, threshold, n_bins and
+    # cache_components settings
     cfg = small_cfg(iterations=6)
     run(real_small, cfg, OracleProposer(), tmp_path / "straight")
     run(real_small, small_cfg(iterations=3), OracleProposer(), tmp_path / "resumed")
     ckpt = tmp_path / "resumed" / "checkpoint"
     doc = json.loads((ckpt / "state.json").read_text())
-    doc["config"].update(tolerance=0.01, threshold=0.05)
+    doc["config"].update(tolerance=0.01, threshold=0.05, n_bins=6, cache_components=False)
     (ckpt / "state.json").write_text(json.dumps(doc, sort_keys=True))
     manifest = json.loads((ckpt / "manifest.json").read_text())
     manifest["files"]["state.json"] = hashlib.sha256(

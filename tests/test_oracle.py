@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statsynth import errors
+from statsynth import errors, oracle
 from statsynth.discrepancy import compute_report, tvd
 from statsynth.oracle import (
     OracleProposer,
     _apportion,
+    _fill_variable,
+    _Lattice,
+    _sub_split,
     _transport_round,
     ideal_batch_histogram,
     infer_components,
@@ -349,3 +355,171 @@ def test_pairwise_mi_against_brute_force(ref_100k):
     assert got_cat == pytest.approx(want_cat, abs=1e-12)
     assert got_gender == pytest.approx(want_gender, abs=1e-12)
     assert got_cat > got_gender
+
+
+def test_propose_builds_no_labels(ref_2k, monkeypatch):
+    # labels belong to the JSON and CSV edges: the batch plan is made of codes
+    def boom(*args, **kwargs):
+        raise AssertionError("the oracle built or sorted cell labels")
+
+    monkeypatch.setattr(oracle, "unit_labels", boom, raising=False)
+    monkeypatch.setattr(oracle, "occupied", boom, raising=False)
+    from statsynth.reference import EcommerceParams, generate
+    pool = generate(EcommerceParams(), 400, seed=5)
+    ctx = steering_ctx(ref_2k, pool, batch_size=200)
+    assert ctx.report.joints
+    proposals = OracleProposer().propose(ctx)
+    assert sum(p.num for p in proposals) == 200
+
+
+# ---------------------------------------------------------------------------
+# the array fill against the per-group fill it replaced
+
+
+def reference_fill_variable(lattice, w, groups, col, rng):
+    """Per-group fill: one searchsorted and one bincount per group.
+
+    groups is a list of (codes, count), codes a dict from the lattice
+    columns filled so far (in fill order) to their codes.
+    """
+    n_labels = lattice.dims[col]
+    marg = np.bincount(lattice.codes[:, col], weights=w, minlength=n_labels)
+    rows = np.array([count for _, count in groups], dtype=np.int64)
+    cols = _apportion(marg, int(rows.sum()), rng)
+    assigned = list(groups[0][0])
+    if assigned:
+        dims = tuple(lattice.dims[c] for c in assigned)
+        cell_keys = np.ravel_multi_index(tuple(lattice.codes[:, c] for c in assigned), dims)
+        sort_idx = np.argsort(cell_keys, kind="stable")
+        sorted_keys = cell_keys[sort_idx]
+        fallback = marg / marg.sum() if marg.sum() > 0 else np.full(n_labels, 1.0 / n_labels)
+        p_rows = []
+        for codes, _ in groups:
+            key = int(np.ravel_multi_index(tuple([codes[c]] for c in assigned), dims)[0])
+            lo = np.searchsorted(sorted_keys, key, side="left")
+            hi = np.searchsorted(sorted_keys, key, side="right")
+            sel = sort_idx[lo:hi]
+            row = np.bincount(lattice.codes[sel, col], weights=w[sel], minlength=n_labels)
+            total = row.sum()
+            p_rows.append(row / total if total > 0.0 else fallback)
+        p_matrix = np.stack(p_rows)
+    else:
+        base = marg / marg.sum() if marg.sum() > 0 else np.full(n_labels, 1.0 / n_labels)
+        p_matrix = np.tile(base, (len(groups), 1))
+    alloc = oracle._transport_round(p_matrix * rows[:, None], rows, cols, rng)
+    return [({**codes, col: int(li)}, int(alloc[gi, li]))
+            for gi, (codes, _) in enumerate(groups) for li in np.flatnonzero(alloc[gi])]
+
+
+def reference_sub_split(groups, col, detail, rng):
+    """Per-bin sub-split over (codes, count) groups; col gets fine codes."""
+    by_bin: dict[int, list] = {}
+    for g in groups:
+        by_bin.setdefault(g[0][col], []).append(g)
+    out = []
+    for i in sorted(by_bin):
+        members = by_bin[i]
+        rows = np.array([count for _, count in members], dtype=np.int64)
+        cols = _apportion(detail[i], int(rows.sum()), rng)
+        p_matrix = np.tile(detail[i], (len(members), 1))
+        alloc = oracle._transport_round(p_matrix * rows[:, None], rows, cols, rng)
+        for gi, (codes, _) in enumerate(members):
+            for j in np.flatnonzero(alloc[gi]):
+                out.append(({**codes, col: SUB_BINS * i + int(j)}, int(alloc[gi, j])))
+    return out
+
+
+@contextmanager
+def transport_inputs():
+    """Record every matrix handed to the transportation rounding."""
+    calls = []
+    rounding = oracle._transport_round
+
+    def record(raw, rows, cols, rng):
+        calls.append((raw.copy(), np.array(rows), np.array(cols)))
+        return rounding(raw, rows, cols, rng)
+
+    with mock.patch.object(oracle, "_transport_round", record):
+        yield calls
+
+
+def assert_same_inputs(got, want):
+    # bit for bit: rounding would hide a difference in the last bits
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def as_groups(codes, counts, columns):
+    return [(dict(zip(columns, row)), count)
+            for row, count in zip(codes.tolist(), counts.tolist())]
+
+
+weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+
+
+@st.composite
+def lattices(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=2, max_size=4)))
+    cells = draw(st.lists(st.tuples(*(st.integers(0, d - 1) for d in dims)),
+                          min_size=1, max_size=40, unique=True))
+    codes = np.array(sorted(cells), dtype=np.int64)
+    w = np.array(draw(st.lists(weight, min_size=len(codes), max_size=len(codes))))
+    return _Lattice(codes, w, dims, {}), w
+
+
+@given(lattices(), st.data(), st.integers(0, 2**31))
+@settings(max_examples=200, deadline=None)
+def test_fill_variable_matches_per_group_reference(lat, data, seed):
+    lattice, w = lat
+    n_vars = len(lattice.dims)
+    order = data.draw(st.permutations(range(n_vars)))
+    n_filled = data.draw(st.integers(0, n_vars - 1))
+    filled, col = list(order[:n_filled]), order[n_filled]
+    if filled:
+        # some rows may match no lattice cell: they fall back to the marginal
+        rows = data.draw(st.lists(
+            st.tuples(*(st.integers(0, lattice.dims[c] - 1) for c in filled)),
+            min_size=1, max_size=12, unique=True))
+    else:
+        rows = [()]
+    codes = np.array(rows, dtype=np.int64).reshape(len(rows), len(filled))
+    counts = np.array(data.draw(st.lists(st.integers(1, 20), min_size=len(rows),
+                                         max_size=len(rows))), dtype=np.int64)
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    with transport_inputs() as got_inputs:
+        got_codes, got_counts = _fill_variable(lattice, w, filled, codes, counts, col, rng_new)
+    with transport_inputs() as want_inputs:
+        want = reference_fill_variable(lattice, w, as_groups(codes, counts, filled), col,
+                                       rng_ref)
+    assert_same_inputs(got_inputs, want_inputs)
+    assert as_groups(got_codes, got_counts, filled + [col]) == want
+    assert got_codes.dtype == np.int64 and got_counts.dtype == np.int64
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@given(st.data(), st.integers(0, 2**31))
+@settings(max_examples=200, deadline=None)
+def test_sub_split_matches_per_bin_reference(data, seed):
+    n_main = data.draw(st.integers(1, 6))
+    n_cols = data.draw(st.integers(1, 3))
+    col = data.draw(st.integers(0, n_cols - 1))
+    n_rows = data.draw(st.integers(1, 15))
+    codes = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, n_main - 1), min_size=n_cols, max_size=n_cols),
+        min_size=n_rows, max_size=n_rows)), dtype=np.int64)
+    counts = np.array(data.draw(st.lists(st.integers(1, 20), min_size=n_rows,
+                                         max_size=n_rows)), dtype=np.int64)
+    detail = np.array(data.draw(st.lists(
+        st.lists(weight, min_size=SUB_BINS, max_size=SUB_BINS).filter(lambda r: sum(r) > 0),
+        min_size=n_main, max_size=n_main)))
+    detail = detail / detail.sum(axis=1, keepdims=True)
+    columns = list(range(n_cols))
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    with transport_inputs() as got_inputs:
+        got_codes, got_counts = _sub_split(codes, counts, col, detail, rng_new)
+    with transport_inputs() as want_inputs:
+        want = reference_sub_split(as_groups(codes, counts, columns), col, detail, rng_ref)
+    assert_same_inputs(got_inputs, want_inputs)
+    assert as_groups(got_codes, got_counts, columns) == want
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
