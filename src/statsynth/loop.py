@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import errors
-from .discrepancy import DiscrepancyReport, compute_report
+from .discrepancy import compute_report
 from .metrics import metric_suite
 from .proposals import (
     ComponentContext,
@@ -74,8 +74,7 @@ class LoopState:
     iteration: int
     pool: Dataset
     history: list[dict] = field(default_factory=list)
-    report: DiscrepancyReport | None = None
-    pool_log: PoolLog | None = None
+    logs: dict[str, AppendLog] = field(default_factory=dict)  # by file name
 
 
 def _iteration_seed(seed: int, t: int, purpose: int) -> int:
@@ -119,12 +118,12 @@ def _check_batch(proposals: list[Proposal], schema: VariableSchema, batch_size: 
 # ---------------------------------------------------------------------------
 # checkpointing
 #
-# checkpoint/pool.csv only grows: each checkpoint appends the rows added since
-# the last one and fsyncs them. manifest.json is the commit point: it names
-# the committed length of pool.csv (pool_bytes) and the SHA-256 of that
-# prefix and of state.json. The next state.json is staged as state.json.tmp
-# and moved into place only after the manifest that names it, so at every
-# instant the manifest describes files that are on disk.
+# The run history is kept once, in fsynced append-only logs: checkpoint/pool.csv
+# (CSV rows), metrics.jsonl and identity.jsonl (a JSON line per iteration).
+# manifest.json is the commit point: it names each log's committed length and
+# the SHA-256 of that prefix, and the SHA-256 of state.json (iteration and
+# config echo), which is staged as state.json.tmp and moved into place only
+# after the manifest that names it. Resume cuts each log back to its length.
 
 
 def _sha256(path: Path, size: int = -1) -> "hashlib._Hash":
@@ -154,26 +153,29 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-@dataclass
-class PoolLog:
-    """checkpoint/pool.csv as an append-only log.
+def _json_line(row: dict) -> bytes:
+    return (json.dumps(row, sort_keys=True) + "\n").encode()
 
-    The file holds size bytes, the CSV of the pool's first rows records, and
-    sha is the running SHA-256 of exactly those bytes, so a checkpoint never
-    re-reads or re-hashes what earlier ones wrote.
+
+@dataclass
+class AppendLog:
+    """A file that only grows, committed by length and hash.
+
+    The file holds size bytes and sha is their running SHA-256, so a
+    checkpoint never re-reads or re-hashes what earlier appends wrote.
     """
 
     path: Path
-    rows: int = 0
     size: int = 0
     sha: "hashlib._Hash" = field(default_factory=hashlib.sha256)
+    rows: int = 0  # records held, counted for the pool log
 
-    def append(self, pool: Dataset) -> None:
-        """Append and fsync the pool's records past rows; an empty log starts the file."""
-        data = csv_text(pool, self.rows).encode("utf-8")
+    def append(self, data: bytes) -> None:
+        """Append and fsync data; an empty log starts the file and syncs its directory."""
         _write_synced(self.path, data, "ab" if self.size else "wb")
+        if not self.size:
+            _fsync_dir(self.path.parent)
         self.sha.update(data)
-        self.rows = len(pool)
         self.size += len(data)
 
 
@@ -181,28 +183,27 @@ _ECHO_FIELDS = ("proposals_per_iter", "batch_size", "n_components", "seed")
 
 
 def checkpoint(state: LoopState, directory: str | Path, cfg: LoopConfig) -> None:
-    """Append the pool's new records, then commit state and manifest.
+    """Append the pool's new records, then commit every log, state and manifest.
 
     The state's pool log is created on first use; same state, same bytes.
     """
     directory = Path(directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        if state.pool_log is None or state.pool_log.path != directory / "pool.csv":
-            state.pool_log = PoolLog(directory / "pool.csv")
-        log = state.pool_log
-        log.append(state.pool)
-        doc = {
-            "iteration": state.iteration,
-            "config": {name: getattr(cfg, name) for name in _ECHO_FIELDS},
-            "history": state.history,
-        }
+        log = state.logs.get("pool.csv")
+        if log is None or log.path != directory / "pool.csv":
+            log = state.logs["pool.csv"] = AppendLog(directory / "pool.csv")
+        log.append(csv_text(state.pool, log.rows).encode("utf-8"))
+        log.rows = len(state.pool)
+        doc = {"iteration": state.iteration,
+               "config": {name: getattr(cfg, name) for name in _ECHO_FIELDS}}
         state_bytes = json.dumps(doc, sort_keys=True).encode()
         _write_synced(directory / "state.json.tmp", state_bytes)
+        logs = {os.path.relpath(log.path, directory): log for log in state.logs.values()}
         manifest = {
-            "files": {"pool.csv": log.sha.hexdigest(),
-                      "state.json": hashlib.sha256(state_bytes).hexdigest()},
-            "pool_bytes": log.size,
+            "files": {"state.json": hashlib.sha256(state_bytes).hexdigest(),
+                      **{name: log.sha.hexdigest() for name, log in logs.items()}},
+            "bytes": {name: log.size for name, log in logs.items()},
         }
         _write_synced(directory / "manifest.json.tmp",
                       json.dumps(manifest, sort_keys=True).encode())
@@ -217,45 +218,43 @@ def checkpoint(state: LoopState, directory: str | Path, cfg: LoopConfig) -> None
 def resume(directory: str | Path, schema: VariableSchema, cfg: LoopConfig) -> LoopState:
     """Load and verify a checkpoint; the config must match the stored echo.
 
-    Bytes of pool.csv past the committed length, left by an iteration that
-    died before its manifest, are cut off. A manifest without pool_bytes
-    commits the whole file.
+    Logs are cut back to their committed lengths and the history is read from
+    metrics.jsonl. An older checkpoint holds the history in state.json and
+    commits pool.csv alone (all of it without pool_bytes): metrics.jsonl is
+    rebuilt from it and identity.jsonl cut to its first iteration rows.
     """
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise errors.CorruptCheckpoint(f"no checkpoint manifest in {directory}")
     try:
-        manifest = json.loads(manifest_path.read_text())
-        files = manifest["files"]
-        pool_sha, state_sha = files["pool.csv"], files["state.json"]
-        committed = manifest.get("pool_bytes")
+        manifest = json.loads((directory / "manifest.json").read_text())
+        hashes = manifest["files"]
+        state_sha = hashes["state.json"]
+        legacy = "bytes" not in manifest
+        sizes = {"pool.csv": manifest.get("pool_bytes"), **manifest.get("bytes", {})}
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise errors.CorruptCheckpoint(f"unreadable manifest in {directory}") from exc
-    pool_path, state_path = directory / "pool.csv", directory / "state.json"
+        raise errors.CorruptCheckpoint(f"no readable checkpoint manifest in {directory}") from exc
     staged = directory / "state.json.tmp"
     if staged.exists() and _sha256(staged).hexdigest() == state_sha:
         # committed, but the move into place did not happen
-        os.replace(staged, state_path)
-    for path in (pool_path, state_path):
+        os.replace(staged, directory / "state.json")
+    logs = {}
+    # state.json is committed whole, like pool.csv without pool_bytes
+    for name, size in {"state.json": None, **sizes}.items():
+        path = directory / name
         if not path.exists():
-            raise errors.CorruptCheckpoint(f"checkpoint file missing: {path.name}")
-    if _sha256(state_path).hexdigest() != state_sha:
-        raise errors.CorruptCheckpoint("checkpoint hash mismatch for state.json")
-    on_disk = pool_path.stat().st_size
-    if committed is None:
-        committed = on_disk
-    if not isinstance(committed, int) or not 0 <= committed <= on_disk:
-        raise errors.CorruptCheckpoint(
-            f"pool.csv ({on_disk} bytes) does not hold its committed {committed!r} bytes")
-    sha = _sha256(pool_path, committed)
-    if sha.hexdigest() != pool_sha:
-        raise errors.CorruptCheckpoint("checkpoint hash mismatch for pool.csv")
+            raise errors.CorruptCheckpoint(f"checkpoint file missing: {name}")
+        on_disk = path.stat().st_size
+        size = on_disk if size is None else size
+        if not isinstance(size, int) or not 0 <= size <= on_disk:
+            raise errors.CorruptCheckpoint(
+                f"{name} ({on_disk} bytes) does not hold its committed {size!r} bytes")
+        logs[path.name] = AppendLog(path, size, _sha256(path, size))
+        if logs[path.name].sha.hexdigest() != hashes.get(name):
+            raise errors.CorruptCheckpoint(f"checkpoint hash mismatch for {name}")
     try:
-        doc = json.loads(state_path.read_text())
+        doc = json.loads(logs.pop("state.json").path.read_text())
         iteration = int(doc["iteration"])
         echo = doc["config"]
-        history = doc["history"]
+        history = doc["history"] if legacy else []
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise errors.CorruptCheckpoint(f"unreadable state in {directory}") from exc
     for name in _ECHO_FIELDS:
@@ -266,17 +265,25 @@ def resume(directory: str | Path, schema: VariableSchema, cfg: LoopConfig) -> Lo
     if cfg.iterations < iteration:
         raise errors.ConfigError(
             f"checkpoint is at iteration {iteration}, beyond iterations={cfg.iterations}")
-    if on_disk > committed:
-        try:
-            os.truncate(pool_path, committed)
-        except OSError as exc:
-            raise errors.IoFailure(f"cannot truncate {pool_path}: {exc}") from exc
-    pool = load_csv(pool_path, schema)
+    try:
+        for log in logs.values():
+            os.truncate(log.path, log.size)
+        if legacy:
+            kept = (directory.parent / "identity.jsonl").read_bytes().splitlines(True)[:iteration]
+            for name, lines in (("metrics.jsonl", map(_json_line, history)),
+                                ("identity.jsonl", kept)):
+                logs[name] = AppendLog(directory.parent / name)
+                logs[name].append(b"".join(lines))
+    except OSError as exc:
+        raise errors.IoFailure(f"cannot cut the logs back in {directory}: {exc}") from exc
+    if "metrics.jsonl" in logs:
+        history = [json.loads(line) for line in logs["metrics.jsonl"].path.read_bytes().splitlines()]
+    pool = load_csv(logs["pool.csv"].path, schema)
     if len(pool) != iteration * cfg.batch_size:
         raise errors.CorruptCheckpoint(
             f"pool has {len(pool)} records, expected {iteration * cfg.batch_size}")
-    return LoopState(iteration=iteration, pool=pool, history=history,
-                     pool_log=PoolLog(pool_path, len(pool), committed, sha))
+    logs["pool.csv"].rows = len(pool)
+    return LoopState(iteration=iteration, pool=pool, history=history, logs=logs)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +293,9 @@ def resume(directory: str | Path, schema: VariableSchema, cfg: LoopConfig) -> Lo
 class _Outputs:
     """Log writers for one output directory.
 
-    metrics.jsonl and identity.jsonl are append-only; convergence.csv and
-    components.json are derived from history and rewritten per iteration,
-    which makes resume trivially consistent.
+    metrics.jsonl and identity.jsonl are append logs that each checkpoint
+    commits with the pool; convergence.csv and components.json are derived
+    from history and rewritten per iteration.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -296,38 +303,33 @@ class _Outputs:
         self.root.mkdir(parents=True, exist_ok=True)
         self.checkpoint_dir = self.root / "checkpoint"
 
-    def reset(self) -> None:
+    def reset(self, state: LoopState) -> None:
+        """Start the run afresh; the state's logs become these outputs' logs."""
         for name in ("metrics.jsonl", "identity.jsonl", "convergence.csv",
                      "components.json", "pool.csv"):
             (self.root / name).unlink(missing_ok=True)
         if self.checkpoint_dir.exists():
             for p in self.checkpoint_dir.iterdir():
                 p.unlink()
+        self.rewind(state)
 
-    def rewind(self, history: list[dict], iteration: int) -> None:
-        """Reconstruct logs to the checkpointed iteration."""
-        with open(self.root / "metrics.jsonl", "w") as fh:
-            for row in history:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-        self.rewrite_derived(history)
-        identity = self.root / "identity.jsonl"
-        if identity.exists():
-            kept = [line for line in identity.read_text().splitlines()
-                    if line and json.loads(line)["iteration"] <= iteration]
-            _atomic_write(identity, "".join(line + "\n" for line in kept))
+    def rewind(self, state: LoopState) -> None:
+        """Take over the state's logs and rebuild the derived files from its history."""
+        for name in ("metrics.jsonl", "identity.jsonl"):
+            state.logs.setdefault(name, AppendLog(self.root / name))
+        self.logs = state.logs
+        self.rewrite_derived(state.history)
 
     def append_metrics(self, row: dict) -> None:
-        with open(self.root / "metrics.jsonl", "a") as fh:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        self.logs["metrics.jsonl"].append(_json_line(row))
 
     def append_identity(self, row: dict) -> None:
-        with open(self.root / "identity.jsonl", "a") as fh:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        self.logs["identity.jsonl"].append(_json_line(row))
 
     def rewrite_derived(self, history: list[dict]) -> None:
         if not history:
             return
-        # sorted so the header survives a JSON round-trip through state.json
+        # sorted so the header survives a JSON round-trip through metrics.jsonl
         units = sorted(history[0]["units"])
         lines = ["iteration,mean_tvd," + ",".join(units)]
         for row in history:
@@ -384,9 +386,9 @@ def run(
         if outputs is None:
             raise errors.ConfigError("resume needs an output directory")
         state = resume(outputs.checkpoint_dir, schema, cfg)
-        outputs.rewind(state.history, state.iteration)
+        outputs.rewind(state)
     elif outputs is not None:
-        outputs.reset()
+        outputs.reset(state)
 
     specs = fit_all_bins(real)
     real_codes = encode(real, specs)
@@ -420,7 +422,7 @@ def run(
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, t, 6)))
         batch = sample_batch(schema, proposals, rng)
         batch_codes = encode(batch, specs)
-        pool = concat(state.pool, batch)
+        state.pool = concat(state.pool, batch)
         pool_codes = pool_codes.append(batch_codes)
 
         real_eval, pool_eval = evaluation_summaries(real_codes, pool_codes, specs, components)
@@ -435,9 +437,9 @@ def run(
         # cadence-anchored (not horizon-anchored) so a resumed run logs the
         # same rows an uninterrupted one would
         if cfg.full_metrics_every and t % cfg.full_metrics_every == 0:
-            row["full"] = metric_suite(real, pool, components)
+            row["full"] = metric_suite(real, state.pool, components)
         state.history.append(row)
-        state.report = reported
+        state.iteration = t
 
         if outputs is not None:
             batch_sum = compute_summaries(batch_codes, specs, components, refined)
@@ -446,9 +448,6 @@ def run(
             outputs.append_identity(_identity_row(
                 t, pool_sum, batch_sum, after_sum, unit_labels(pool_sum, schema, specs)))
             outputs.rewrite_derived(state.history)
-        state.pool = pool
-        state.iteration = t
-        if outputs is not None:
             checkpoint(state, outputs.checkpoint_dir, cfg)
 
     if outputs is not None:

@@ -171,6 +171,9 @@ def test_run_writes_logs(tmp_path, real_small):
     assert len(conv) == 1 + cfg.iterations
     comps = json.loads((tmp_path / "components.json").read_text())
     assert [c["iteration"] for c in comps] == [1, 2, 3]
+    committed = json.loads((tmp_path / "checkpoint" / "manifest.json").read_text())["bytes"]
+    assert committed == {name: (tmp_path / "checkpoint" / name).stat().st_size
+                         for name in ("pool.csv", "../metrics.jsonl", "../identity.jsonl")}
 
 
 def test_identity_rows_mix_exactly(tmp_path, real_small):
@@ -237,6 +240,8 @@ def test_checkpoint_twice_is_identical(tmp_path, real_small):
     checkpoint(state, tmp_path, cfg)
     second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert first == second
+    # the history lives in metrics.jsonl, not in the checkpoint
+    assert set(json.loads(first["state.json"])) == {"iteration", "config"}
 
 
 def test_resume_reproduces_uninterrupted_run(tmp_path, real_small):
@@ -270,17 +275,44 @@ def test_resume_accepts_echo_of_removed_fields(tmp_path, real_small):
     assert_same_outputs(tmp_path / "straight", tmp_path / "resumed")
 
 
+def _rewrite_as_legacy(run_dir, pool_bytes: bool) -> None:
+    """Rewrite a run's checkpoint as the format from before the logs were
+    committed: the history inside state.json, a manifest naming only pool.csv
+    and state.json, its pool length in pool_bytes or (older still) nowhere."""
+    ckpt = run_dir / "checkpoint"
+    doc = json.loads((ckpt / "state.json").read_text())
+    doc["history"] = [json.loads(line)
+                      for line in (run_dir / "metrics.jsonl").read_text().splitlines()]
+    (ckpt / "state.json").write_text(json.dumps(doc, sort_keys=True))
+    manifest = {"files": {name: hashlib.sha256((ckpt / name).read_bytes()).hexdigest()
+                          for name in ("pool.csv", "state.json")}}
+    if pool_bytes:
+        manifest["pool_bytes"] = (ckpt / "pool.csv").stat().st_size
+    (ckpt / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
+
+
 def test_resume_accepts_manifest_without_pool_bytes(tmp_path, real_small):
-    # older checkpoints rewrote pool.csv whole and commit all of it
+    # checkpoints written before the logs were committed still resume, with
+    # pool_bytes and from before the pool was append-only, without it
     cfg = small_cfg(iterations=6)
     run(real_small, cfg, OracleProposer(), tmp_path / "straight")
-    run(real_small, small_cfg(iterations=3), OracleProposer(), tmp_path / "resumed")
-    ckpt = tmp_path / "resumed" / "checkpoint"
-    manifest = json.loads((ckpt / "manifest.json").read_text())
-    assert manifest.pop("pool_bytes") == (ckpt / "pool.csv").stat().st_size
-    (ckpt / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
-    run(real_small, cfg, OracleProposer(), tmp_path / "resumed", resume_from_checkpoint=True)
-    assert_same_outputs(tmp_path / "straight", tmp_path / "resumed")
+    run(real_small, small_cfg(iterations=3), OracleProposer(), tmp_path / "leg")
+    fourth = (tmp_path / "straight" / "identity.jsonl").read_bytes().splitlines(True)[3]
+    for pool_bytes in (True, False):
+        out = tmp_path / f"legacy_{pool_bytes}"
+        shutil.copytree(tmp_path / "leg", out)
+        _rewrite_as_legacy(out, pool_bytes)
+        # what a kill after iteration 4's log appends left: resume drops it
+        with open(out / "identity.jsonl", "ab") as fh:
+            fh.write(fourth + b'{"iteration": 5, "w"')
+        with open(out / "metrics.jsonl", "ab") as fh:
+            fh.write(b'{"iteration": 4, "mean')
+        if pool_bytes:
+            with open(out / "checkpoint" / "pool.csv", "ab") as fh:
+                fh.write(b"Male,half a row")
+        run(real_small, cfg, OracleProposer(), out, resume_from_checkpoint=True)
+        assert_same_outputs(tmp_path / "straight", out)
+        assert "history" not in json.loads((out / "checkpoint" / "state.json").read_text())
 
 
 def test_resume_discards_uncommitted_pool_tail(tmp_path, real_small):
@@ -298,13 +330,35 @@ def test_resume_discards_uncommitted_pool_tail(tmp_path, real_small):
     assert_same_outputs(tmp_path / "straight", tmp_path / "resumed")
 
 
+def test_resume_cuts_torn_log_tails(tmp_path, real_small):
+    # a kill during an append leaves half a JSON line past the committed length
+    cfg = small_cfg(iterations=4)
+    run(real_small, cfg, OracleProposer(), tmp_path / "straight")
+    run(real_small, small_cfg(iterations=2), OracleProposer(), tmp_path / "resumed")
+    for name in ("metrics.jsonl", "identity.jsonl"):
+        with open(tmp_path / "resumed" / name, "ab") as fh:
+            fh.write(b'{"iteration": 3, "units": {"age": ')
+    run(real_small, cfg, OracleProposer(), tmp_path / "resumed", resume_from_checkpoint=True)
+    assert_same_outputs(tmp_path / "straight", tmp_path / "resumed")
+
+
+@pytest.mark.parametrize("name", ["metrics.jsonl", "identity.jsonl"])
+def test_resume_detects_lost_committed_rows(tmp_path, real_small, name):
+    run(real_small, small_cfg(iterations=2), OracleProposer(), tmp_path)
+    log = tmp_path / name
+    log.write_bytes(b"".join(log.read_bytes().splitlines(True)[:-1]))
+    with pytest.raises(errors.CorruptCheckpoint):
+        run(real_small, small_cfg(iterations=4), OracleProposer(), tmp_path,
+            resume_from_checkpoint=True)
+
+
 class _Killed(BaseException):
     """Stands in for the process dying: no handler in the program catches it."""
 
 
 class _KillSwitch:
-    """Kills the run after the nth durable file step (fsync or rename) of
-    the checkpoint of one iteration, once."""
+    """Kills the run after the nth durable file step (fsync or rename) of one
+    iteration, from its first log append to the end of its checkpoint, once."""
 
     def __init__(self, iteration: int, nth: int) -> None:
         self.iteration, self.nth = iteration, nth
@@ -322,9 +376,14 @@ class _KillSwitch:
             return result
         return step
 
+    def around_first_append(self, original):
+        def watched(outputs, row):
+            self.armed = self.armed or row["iteration"] == self.iteration
+            return original(outputs, row)
+        return watched
+
     def around_checkpoint(self, original):
         def watched(state, directory, cfg):
-            self.armed = state.iteration == self.iteration
             try:
                 original(state, directory, cfg)
             finally:
@@ -333,10 +392,11 @@ class _KillSwitch:
 
 
 def test_kill_at_every_checkpoint_step_then_resume(tmp_path, real_small, monkeypatch):
-    # a resumed leg (iterations 3-4) is killed inside the checkpoint of
-    # iteration 3 after each of its durable steps in turn: the pool append,
-    # the staged state.json, the staged manifest, the renames, the directory
-    # syncs. Resuming must then finish exactly like an uninterrupted run.
+    # a resumed leg (iterations 3-4) is killed in iteration 3 after each of
+    # its durable steps in turn: the metrics and identity appends, the derived
+    # logs' renames, the pool append, the staged state.json, the staged
+    # manifest, the renames, the directory syncs. Resuming must then finish
+    # exactly like an uninterrupted run.
     cfg = small_cfg(iterations=4)
     run(real_small, cfg, OracleProposer(), tmp_path / "straight")
     run(real_small, small_cfg(iterations=2), OracleProposer(), tmp_path / "leg1")
@@ -349,6 +409,8 @@ def test_kill_at_every_checkpoint_step_then_resume(tmp_path, real_small, monkeyp
         with monkeypatch.context() as m:
             m.setattr(os, "fsync", switch.watch(os.fsync, "fsync"))
             m.setattr(os, "replace", switch.watch(os.replace, "replace"))
+            m.setattr(loop._Outputs, "append_metrics",
+                      switch.around_first_append(loop._Outputs.append_metrics))
             m.setattr(loop, "checkpoint", switch.around_checkpoint(loop.checkpoint))
             try:
                 run(real_small, cfg, OracleProposer(), out, resume_from_checkpoint=True)
@@ -358,8 +420,9 @@ def test_kill_at_every_checkpoint_step_then_resume(tmp_path, real_small, monkeyp
             break
         run(real_small, cfg, OracleProposer(), out, resume_from_checkpoint=True)
         assert_same_outputs(tmp_path / "straight", out)
-    # the pool append, state and manifest staged, both renames: at least five
-    assert len(switch.steps) == nth - 1 >= 5, switch.steps
+    # two log appends, the pool append, state and manifest staged, both
+    # checkpoint renames: at least seven
+    assert len(switch.steps) == nth - 1 >= 7, switch.steps
 
 
 def test_final_pool_csv_is_save_csv_of_returned_pool(tmp_path):
@@ -389,11 +452,16 @@ def test_resume_from_empty_directory(tmp_path, real_small):
 
 
 def test_resume_detects_tampered_pool(tmp_path, real_small):
-    run(real_small, small_cfg(iterations=2), OracleProposer(), tmp_path)
-    target = tmp_path / "checkpoint" / "pool.csv"
-    target.write_text(target.read_text().replace("Electronics", "Gadgets", 1))
-    with pytest.raises(errors.CorruptCheckpoint):
-        resume(tmp_path / "checkpoint", real_small.schema, small_cfg(iterations=2))
+    # every committed log, each changed in place at an unchanged length
+    run(real_small, small_cfg(iterations=2), OracleProposer(), tmp_path / "run")
+    for name in ("checkpoint/pool.csv", "metrics.jsonl", "identity.jsonl"):
+        out = tmp_path / name.replace("/", "_")
+        shutil.copytree(tmp_path / "run", out)
+        data = bytearray((out / name).read_bytes())
+        data[len(data) // 2] ^= 1
+        (out / name).write_bytes(bytes(data))
+        with pytest.raises(errors.CorruptCheckpoint, match="hash mismatch"):
+            resume(out / "checkpoint", real_small.schema, small_cfg(iterations=2))
 
 
 def test_resume_rejects_config_drift(tmp_path, real_small):
