@@ -23,13 +23,20 @@ from .discrepancy import compute_report
 from .metrics import metric_suite
 from .proposals import (
     ComponentContext,
-    FixedCategory,
     Proposal,
     ProposerContext,
     validate_proposal,
 )
 # save_csv is unused here but stays importable: perfbench traces loop.save_csv
-from .schema import Dataset, VariableSchema, concat, csv_text, load_csv, save_csv  # noqa: F401
+from .schema import (  # noqa: F401
+    Dataset,
+    Discrete,
+    VariableSchema,
+    concat,
+    csv_text,
+    load_csv,
+    save_csv,
+)
 from .summaries import (
     SummarySet,
     compute_summaries,
@@ -91,18 +98,40 @@ def sample_batch(schema: VariableSchema, proposals: list[Proposal],
 
     Categories are taken verbatim, ranges drawn uniformly. Proposals must
     already be validated: the columns go into the dataset unchecked.
+
+    All draws come from one rng.uniform call, ordered by proposal, then
+    variable in schema order, then record: a proposal with num 3 and two
+    ranges takes draws 0-2 for the first range and 3-5 for the second. A
+    range with lo == hi takes no draw; its records all get lo.
     """
-    columns: list[list[np.ndarray]] = [[] for _ in schema]
-    for p in proposals:
-        for part, var in zip(columns, schema):
-            a = p.assignments[var.name]
-            if isinstance(a, FixedCategory):
-                part.append(np.full(p.num, var.kind.categories.index(a.value), dtype=np.int64))
-            elif a.lo == a.hi:
-                part.append(np.full(p.num, a.lo, dtype=np.float64))
-            else:
-                part.append(rng.uniform(a.lo, a.hi, size=p.num))
-    return Dataset._from_coded(schema, [np.concatenate(part) for part in columns])
+    nums = np.array([p.num for p in proposals], dtype=np.int64)
+    names = schema.names
+    rows = [[p.assignments[name] for name in names] for p in proposals]
+    columns: list = [None] * len(schema)
+    ranges = []  # schema positions of the continuous variables
+    for j, var in enumerate(schema):
+        if isinstance(var.kind, Discrete):
+            index = {c: i for i, c in enumerate(var.kind.categories)}
+            codes = np.array([index[row[j].value] for row in rows], dtype=np.int64)
+            columns[j] = np.repeat(codes, nums)
+        else:
+            ranges.append(j)
+    bounds = np.array([[(row[j].lo, row[j].hi) for j in ranges] for row in rows],
+                      dtype=np.float64).reshape(len(rows), len(ranges), 2)
+    lo, hi = bounds[..., 0], bounds[..., 1]
+    values = np.repeat(lo, nums, axis=0)
+    # (proposal, range) entries in draw order, num draws each
+    proposal, which = np.nonzero(lo != hi)
+    width = nums[proposal]
+    draws = rng.uniform(np.repeat(lo[proposal, which], width),
+                        np.repeat(hi[proposal, which], width))
+    # draw k of an entry goes to record k of its proposal
+    start, first = np.cumsum(nums) - nums, np.cumsum(width) - width
+    record = np.arange(len(draws)) + np.repeat(start[proposal] - first, width)
+    values[record, np.repeat(which, width)] = draws
+    for i, j in enumerate(ranges):
+        columns[j] = values[:, i]
+    return Dataset._from_coded(schema, columns)
 
 
 def _check_batch(proposals: list[Proposal], schema: VariableSchema, batch_size: int) -> None:
@@ -126,10 +155,10 @@ def _check_batch(proposals: list[Proposal], schema: VariableSchema, batch_size: 
 # after the manifest that names it. Resume cuts each log back to its length.
 
 
-def _sha256(path: Path, size: int = -1) -> "hashlib._Hash":
-    """Running hash of the file's first size bytes (all of it by default)."""
+def _read(path: Path, size: int = -1) -> bytes:
+    """The file's first size bytes (all of it by default)."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read(size))
+        return fh.read(size)
 
 
 def _atomic_write(path: Path, data: str) -> None:
@@ -233,10 +262,10 @@ def resume(directory: str | Path, schema: VariableSchema, cfg: LoopConfig) -> Lo
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise errors.CorruptCheckpoint(f"no readable checkpoint manifest in {directory}") from exc
     staged = directory / "state.json.tmp"
-    if staged.exists() and _sha256(staged).hexdigest() == state_sha:
+    if staged.exists() and hashlib.sha256(_read(staged)).hexdigest() == state_sha:
         # committed, but the move into place did not happen
         os.replace(staged, directory / "state.json")
-    logs = {}
+    logs, committed = {}, {}  # each file's log and committed bytes, read once
     # state.json is committed whole, like pool.csv without pool_bytes
     for name, size in {"state.json": None, **sizes}.items():
         path = directory / name
@@ -247,15 +276,19 @@ def resume(directory: str | Path, schema: VariableSchema, cfg: LoopConfig) -> Lo
         if not isinstance(size, int) or not 0 <= size <= on_disk:
             raise errors.CorruptCheckpoint(
                 f"{name} ({on_disk} bytes) does not hold its committed {size!r} bytes")
-        logs[path.name] = AppendLog(path, size, _sha256(path, size))
+        data = _read(path, size)
+        logs[path.name] = AppendLog(path, size, hashlib.sha256(data))
         if logs[path.name].sha.hexdigest() != hashes.get(name):
             raise errors.CorruptCheckpoint(f"checkpoint hash mismatch for {name}")
+        if path.name != "identity.jsonl":  # parsed below
+            committed[path.name] = data
+    del logs["state.json"]
     try:
-        doc = json.loads(logs.pop("state.json").path.read_text())
+        doc = json.loads(committed["state.json"])
         iteration = int(doc["iteration"])
         echo = doc["config"]
         history = doc["history"] if legacy else []
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise errors.CorruptCheckpoint(f"unreadable state in {directory}") from exc
     for name in _ECHO_FIELDS:
         if echo.get(name) != getattr(cfg, name):
@@ -276,9 +309,9 @@ def resume(directory: str | Path, schema: VariableSchema, cfg: LoopConfig) -> Lo
                 logs[name].append(b"".join(lines))
     except OSError as exc:
         raise errors.IoFailure(f"cannot cut the logs back in {directory}: {exc}") from exc
-    if "metrics.jsonl" in logs:
-        history = [json.loads(line) for line in logs["metrics.jsonl"].path.read_bytes().splitlines()]
-    pool = load_csv(logs["pool.csv"].path, schema)
+    if "metrics.jsonl" in committed:
+        history = [json.loads(line) for line in committed["metrics.jsonl"].splitlines()]
+    pool = load_csv(logs["pool.csv"].path, schema, committed["pool.csv"])
     if len(pool) != iteration * cfg.batch_size:
         raise errors.CorruptCheckpoint(
             f"pool has {len(pool)} records, expected {iteration * cfg.batch_size}")

@@ -107,10 +107,23 @@ def _transport_round(
     with many size-1 rows holding identical conditionals that position
     order correlates with already-assigned variables, skewing their joint;
     randomising the draws removes that pairing bias.
+
+    Each leftover unit consumes exactly one uniform double u, all drawn up
+    front in one call, and goes to cell searchsorted(cdf, u, side="right")
+    of the flattened matrix: cdf is the cumulative sum of the weights over
+    their total, divided by its last entry, which is the draw
+    Generator.choice(n, p=weights / total) makes. An open cell (row and
+    column both short) weighs its fractional remainder until it takes a
+    unit, then 0; when every open cell weighs 0 they weigh equally. The
+    weights stay at full size with closed rows and columns zeroed:
+    shrinking them would regroup their pairwise sum and move its last bits.
     """
     raw = np.asarray(raw, dtype=float)
     rows = np.asarray(row_sums, dtype=np.int64)
     cols = np.asarray(col_sums, dtype=np.int64)
+    if rows.sum() != cols.sum():
+        raise errors.ProposerError(
+            f"row totals sum to {rows.sum()}, column totals to {cols.sum()}")
     out = np.floor(raw).astype(np.int64)
     frac = raw - out
     # floor() can already overshoot a column target when the target was
@@ -125,20 +138,38 @@ def _transport_round(
             over[l] -= 1
     row_def = rows - out.sum(axis=1)
     col_def = cols - out.sum(axis=0)
-    score = frac.copy()
-    while row_def.sum() > 0:
-        open_cells = (row_def[:, None] > 0) & (col_def[None, :] > 0)
-        weight = np.where(open_cells, np.clip(score, 0.0, None), 0.0)
-        total = weight.sum()
-        if total <= 0:
-            weight = open_cells.astype(float)
-            total = weight.sum()
-        flat = int(rng.choice(weight.size, p=(weight / total).ravel()))
-        g, l = np.unravel_index(flat, weight.shape)
-        out[g, l] += 1
-        score[g, l] -= 1.0
-        row_def[g] -= 1
-        col_def[l] -= 1
+    # every placement lowers row_def.sum() by one
+    n_left = int(row_def.sum())
+    if not n_left:
+        return out
+    # open cells weigh frac < 1: shaved cells lie in closed columns
+    weight = np.where((row_def[:, None] > 0) & (col_def[None, :] > 0), frac, 0.0).ravel()
+    row_left, col_left = row_def.tolist(), col_def.tolist()
+    n_cols = len(col_left)
+    p, cdf = np.empty_like(weight), np.empty_like(weight)
+    placed = []
+    # ufunc methods, not sum() and cumsum(): at these sizes the wrappers cost
+    # more than the work, and the results are the same bits
+    for u in rng.random(n_left).tolist():
+        total = np.add.reduce(weight)
+        if total > 0:
+            np.divide(weight, total, out=p)
+        else:
+            open_cells = np.outer(np.array(row_left) > 0, np.array(col_left) > 0).ravel()
+            np.divide(open_cells, np.count_nonzero(open_cells), out=p)
+        np.add.accumulate(p, out=cdf)
+        cdf /= cdf[-1]
+        cell = int(cdf.searchsorted(u, side="right"))
+        placed.append(cell)
+        weight[cell] = 0.0  # its score is now frac - 1 < 0
+        g, l = divmod(cell, n_cols)
+        row_left[g] -= 1
+        col_left[l] -= 1
+        if not row_left[g]:
+            weight[g * n_cols:(g + 1) * n_cols] = 0.0
+        if not col_left[l]:
+            weight[l::n_cols] = 0.0
+    out += np.bincount(placed, minlength=out.size).reshape(out.shape)
     return out
 
 
@@ -344,8 +375,23 @@ class OracleProposer:
 
     name = "oracle"
 
+    def __init__(self) -> None:
+        self._memo: tuple | None = None  # real, schema, specs, sizes, components
+
     def infer_components(self, ctx: ComponentContext) -> list[StructuralComponent]:
-        return infer_components(ctx)
+        """infer_components(ctx), searched once per real table, specs and sizes.
+
+        The search ignores the seed, so a loop asking every iteration gets
+        the first answer again. The table, schema and specs are matched by
+        identity; each call returns a fresh list.
+        """
+        sizes = (ctx.n_components, ctx.batch_size)
+        m = self._memo
+        if not (m and m[0] is ctx.real_data and m[1] is ctx.schema
+                and m[2] is ctx.bin_specs and m[3] == sizes):
+            m = self._memo = (ctx.real_data, ctx.schema, ctx.bin_specs, sizes,
+                              infer_components(ctx))
+        return list(m[4])
 
     def propose(self, ctx: ProposerContext) -> list[Proposal]:
         if ctx.real_codes is None:

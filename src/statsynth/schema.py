@@ -326,15 +326,18 @@ def _float_or_nan(cell: str) -> float:
         return math.nan
 
 
-def load_csv(path: str | Path, schema: VariableSchema) -> Dataset:
+def load_csv(path: str | Path, schema: VariableSchema, data: bytes | None = None) -> Dataset:
     """Read a CSV written by save_csv (or compatible) and validate every cell.
 
     Cells are parsed column by column. On the first rejected cell in
-    row-major order, _encode_value raises the error for that cell.
+    row-major order, _encode_value raises the error for that cell. A caller
+    that already holds the file's bytes passes them as data; path then only
+    names the file in errors.
     """
     path = Path(path)
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with (open(path, "r", encoding="utf-8", newline="") if data is None else
+              io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")) as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

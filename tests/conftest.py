@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from statsynth.reference import EcommerceParams, generate
 from statsynth.schema import Continuous, Dataset, Discrete, Variable, VariableSchema
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a failing
+# bit-for-bit comparison reproduces, and prints the blob that replays it
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

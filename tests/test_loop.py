@@ -11,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statsynth import errors, loop
 from statsynth.loop import (
@@ -91,6 +93,61 @@ def test_sample_batch_orders_proposals(tiny_schema):
     ]
     batch = sample_batch(tiny_schema, proposals, np.random.default_rng(3))
     assert list(batch.column("color")) == ["red", "red", "blue"]
+
+
+def reference_sample_batch(schema, proposals, rng):
+    """The sampler as first written: one np.full or rng.uniform per cell."""
+    columns = [[] for _ in schema]
+    for p in proposals:
+        for part, var in zip(columns, schema):
+            a = p.assignments[var.name]
+            if isinstance(a, FixedCategory):
+                part.append(np.full(p.num, var.kind.categories.index(a.value), dtype=np.int64))
+            elif a.lo == a.hi:
+                part.append(np.full(p.num, a.lo, dtype=np.float64))
+            else:
+                part.append(rng.uniform(a.lo, a.hi, size=p.num))
+    return [np.concatenate(part) for part in columns]
+
+
+MIXED_SCHEMA = VariableSchema((
+    Variable("x", Continuous(-5.0, 5.0)),
+    Variable("c", Discrete(("a", "b", "c"))),
+    Variable("y", Continuous(0.0, 1000.0)),
+    Variable("d", Discrete(("u", "v"))),
+    Variable("z", Continuous(1.0, 2.0)),
+))
+
+
+@st.composite
+def mixed_proposals(draw):
+    """Proposals over MIXED_SCHEMA with num 1-5; about a third of ranges have lo == hi."""
+    proposals = []
+    for _ in range(draw(st.integers(1, 12))):
+        assignments = {}
+        for var in MIXED_SCHEMA:
+            kind = var.kind
+            if isinstance(kind, Discrete):
+                assignments[var.name] = FixedCategory(draw(st.sampled_from(kind.categories)))
+                continue
+            ends = sorted(draw(st.lists(st.floats(kind.lower, kind.upper),
+                                        min_size=2, max_size=2)))
+            if draw(st.integers(0, 2)) == 0:
+                ends[1] = ends[0]
+            assignments[var.name] = Range(*ends)
+        proposals.append(Proposal(assignments, num=draw(st.integers(1, 5))))
+    return proposals
+
+
+@given(mixed_proposals(), st.integers(0, 2**31))
+@settings(max_examples=200, deadline=None)
+def test_sample_batch_matches_per_cell_reference(proposals, seed):
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_batch(MIXED_SCHEMA, proposals, rng_new)
+    want = reference_sample_batch(MIXED_SCHEMA, proposals, rng_ref)
+    for col, ref in zip(got.columns, want):
+        assert col.dtype == ref.dtype and col.tobytes() == ref.tobytes()
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

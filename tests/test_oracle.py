@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from statsynth import errors, oracle
 from statsynth.discrepancy import compute_report, tvd
+from statsynth.loop import LoopConfig, run
 from statsynth.oracle import (
     OracleProposer,
     _apportion,
@@ -197,6 +198,110 @@ def test_transport_round_margins(G, L, cells, seed):
     assert np.array_equal(out.sum(axis=0), cols)
 
 
+def reference_transport_round(raw, row_sums, col_sums, rng):
+    """The rounding loop as first written: one rng.choice per leftover unit."""
+    raw = np.asarray(raw, dtype=float)
+    rows = np.asarray(row_sums, dtype=np.int64)
+    cols = np.asarray(col_sums, dtype=np.int64)
+    out = np.floor(raw).astype(np.int64)
+    frac = raw - out
+    over = out.sum(axis=0) - cols
+    for l in np.flatnonzero(over > 0):
+        while over[l] > 0:
+            holders = np.flatnonzero(out[:, l] > 0)
+            g = holders[np.argmin(frac[holders, l])]
+            out[g, l] -= 1
+            frac[g, l] += 1.0
+            over[l] -= 1
+    row_def = rows - out.sum(axis=1)
+    col_def = cols - out.sum(axis=0)
+    score = frac.copy()
+    while row_def.sum() > 0:
+        open_cells = (row_def[:, None] > 0) & (col_def[None, :] > 0)
+        weight = np.where(open_cells, np.clip(score, 0.0, None), 0.0)
+        total = weight.sum()
+        if total <= 0:
+            weight = open_cells.astype(float)
+            total = weight.sum()
+        flat = int(rng.choice(weight.size, p=(weight / total).ravel()))
+        g, l = np.unravel_index(flat, weight.shape)
+        out[g, l] += 1
+        score[g, l] -= 1.0
+        row_def[g] -= 1
+        col_def[l] -= 1
+    return out
+
+
+def assert_rounds_like_reference(raw, rows, cols, seed):
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _transport_round(raw, rows, cols, rng_new)
+    want = reference_transport_round(raw, rows, cols, rng_ref)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    return got
+
+
+@st.composite
+def rounding_inputs(draw):
+    """(raw, rows, cols): whole or fractional cells, column targets near or far.
+
+    Column targets apportioned from the raw column sums are the loop's case;
+    arbitrary targets make floor() overshoot columns (the shave pass), and
+    whole-number cells leave no positive score (the uniform fallback).
+    """
+    G, L = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    if draw(st.booleans()):
+        raw = rng.integers(0, 4, (G, L)).astype(float)
+        rows = raw.sum(axis=1).astype(np.int64)
+    else:
+        p = rng.dirichlet(np.full(L, draw(st.sampled_from([0.2, 1.0, 5.0]))), G)
+        rows = rng.integers(0, 12, G)
+        raw = p * rows[:, None]
+    total = int(rows.sum())
+    if draw(st.booleans()):
+        cols = _apportion(raw.sum(axis=0), total, rng)
+    else:
+        cols = rng.multinomial(total, np.full(L, 1.0 / L))
+    return raw, rows, cols
+
+
+@given(rounding_inputs(), st.integers(0, 2**31))
+@settings(max_examples=300, deadline=None)
+def test_transport_round_matches_choice_reference(inputs, seed):
+    raw, rows, cols = inputs
+    out = assert_rounds_like_reference(raw, rows, cols, seed)
+    assert np.array_equal(out.sum(axis=1), rows)
+    assert np.array_equal(out.sum(axis=0), cols)
+
+
+@pytest.mark.parametrize("raw, rows, cols", [
+    # shave: floor() puts 3 in column 0, whose target is 1
+    ([[1.5, 0.5], [1.6, 0.4]], [2, 2], [1, 3]),
+    # fallback: after the shave the only open cell scores 0
+    ([[2.0, 0.0], [0.0, 2.0]], [2, 2], [0, 4]),
+    # fallback over several open cells, mixed with positive scores first
+    ([[1.0, 1.0, 0.0], [0.0, 2.0, 0.5], [3.0, 0.0, 0.0]], [2, 3, 3], [1, 1, 6]),
+    # zero leftover units: nothing drawn
+    ([[1.0, 2.0], [3.0, 0.0]], [3, 3], [4, 2]),
+    # one row, one column
+    ([[0.3, 1.2, 2.5]], [4], [1, 1, 2]),
+    ([[0.5], [1.5], [2.0]], [1, 2, 2], [5]),
+])
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+def test_transport_round_reference_edge_cases(raw, rows, cols, seed):
+    out = assert_rounds_like_reference(np.array(raw), np.array(rows), np.array(cols), seed)
+    assert np.array_equal(out.sum(axis=1), rows)
+    assert np.array_equal(out.sum(axis=0), cols)
+
+
+@pytest.mark.parametrize("cols", [[3, 2], [1, 2]], ids=["columns-over", "columns-under"])
+def test_transport_round_rejects_unequal_totals(cols):
+    with pytest.raises(errors.ProposerError, match="column totals"):
+        _transport_round(np.array([[1.5, 0.5], [0.5, 1.5]]), np.array([2, 2]),
+                         np.array(cols), np.random.default_rng(0))
+
+
 def test_empty_pool_batch_matches_real_marginals(ref_2k):
     ctx = steering_ctx(ref_2k, Dataset.empty(ref_2k.schema), batch_size=200)
     proposals = OracleProposer().propose(ctx)
@@ -329,6 +434,61 @@ def test_infer_components_needs_two_variables():
     cctx = ComponentContext(ONE_VAR, data, compute_summaries(data, {}), {})
     with pytest.raises(errors.TooFewVariables):
         infer_components(cctx)
+
+
+@contextmanager
+def counted_component_searches():
+    calls = []
+    search = oracle.infer_components
+
+    def count(ctx):
+        calls.append(ctx)
+        return search(ctx)
+
+    with mock.patch.object(oracle, "infer_components", count):
+        yield calls
+
+
+def test_run_searches_components_once(ref_2k):
+    cfg = LoopConfig(iterations=5, batch_size=100, n_components=2, seed=4,
+                     full_metrics_every=0)
+    with counted_component_searches() as calls:
+        _, history = run(ref_2k, cfg, OracleProposer())
+    assert len(calls) == 1
+    assert all(row["components"] == history[0]["components"] for row in history)
+
+
+def test_component_memo_follows_sizes_and_data(ref_2k):
+    specs = fit_all_bins(ref_2k)
+
+    def ctx(data, n_components, seed=0):
+        return ComponentContext(data.schema, data, compute_summaries(encode(data, specs), specs),
+                                specs, n_components=n_components, seed=seed, batch_size=200)
+
+    proposer = OracleProposer()
+    with counted_component_searches() as calls:
+        first = proposer.infer_components(ctx(ref_2k, 2))
+        assert proposer.infer_components(ctx(ref_2k, 2, seed=9)) == first
+        assert len(calls) == 1
+        three = proposer.infer_components(ctx(ref_2k, 3))
+        assert len(calls) == 2 and three == infer_components(ctx(ref_2k, 3))
+        other = Dataset(ref_2k.schema, tuple(c[:1000] for c in ref_2k.columns))
+        proposer.infer_components(ctx(other, 3))
+        assert len(calls) == 3
+
+
+def test_component_memo_returns_fresh_lists(ref_2k):
+    specs = fit_all_bins(ref_2k)
+    cctx = ComponentContext(ref_2k.schema, ref_2k, compute_summaries(encode(ref_2k, specs), specs),
+                            specs, n_components=2, batch_size=200)
+    proposer = OracleProposer()
+    first = proposer.infer_components(cctx)
+    want = list(first)
+    first.clear()
+    again = proposer.infer_components(cctx)
+    assert again == want and again is not first
+    again.append(StructuralComponent(("gender", "price")))
+    assert proposer.infer_components(cctx) == want
 
 
 def brute_mi(x_codes, y_codes, nx, ny):
