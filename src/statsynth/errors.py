@@ -125,7 +125,7 @@ class PromptTooLarge(ProposerError):
 
 
 class InfeasibleProposal(ProposerError):
-    """A single proposal violates the schema (dropped by the caller)."""
+    """Proposals do not fit the schema: wrong columns, or a row that cannot be sampled."""
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,9 @@ import numpy as np
 import requests
 
 from . import errors
-from .proposals import (
-    ComponentContext,
-    FixedCategory,
-    Proposal,
-    ProposerContext,
-    Range,
-    validate_proposal,
-)
+from .proposals import ComponentContext, Proposals, ProposerContext, validate_proposal
 from .discrepancy import DiscrepancyReport
-from .schema import Discrete, VariableSchema, schema_to_json
+from .schema import Continuous, Discrete, Variable, schema_to_json
 from .summaries import StructuralComponent, occupied, summary_payload, unit_labels
 
 log = logging.getLogger(__name__)
@@ -215,9 +208,9 @@ def _reply_json(text: str) -> object:
         raise errors.MalformedReply(f"reply is not JSON: {type(exc).__name__}") from exc
 
 
-def _rescale_counts(weights: list[int], total: int) -> list[int]:
+def _rescale_counts(weights, total: int) -> np.ndarray:
     """Proportional largest-remainder allocation keeping every entry >= 1."""
-    raw = np.array(weights, dtype=float)
+    raw = np.asarray(weights, dtype=float)
     raw = raw / raw.sum() * total
     out = np.floor(raw).astype(np.int64)
     order = np.argsort(-(raw - out), kind="stable")
@@ -226,40 +219,41 @@ def _rescale_counts(weights: list[int], total: int) -> list[int]:
     while (out == 0).any():
         out[int(out.argmax())] -= 1
         out[int(np.flatnonzero(out == 0)[0])] += 1
-    return out.tolist()
+    return out
 
 
-def _assignment_from_json(schema: VariableSchema, name: str, value: object):
-    kind = schema.kind(name)
+def _assignment_from_json(var: Variable, value: object):
+    """A category code (-1 for a string naming no category) or a (lo, hi) pair."""
+    kind = var.kind
     if isinstance(kind, Discrete):
         if not isinstance(value, str):
             raise errors.MalformedReply(
-                f"{name}: discrete assignment must be a string, got {value!r}")
-        return FixedCategory(value)
+                f"{var.name}: discrete assignment must be a string, got {value!r}")
+        return kind.categories.index(value) if value in kind.categories else -1
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)):
         raise errors.MalformedReply(
-            f"{name}: continuous assignment must be [lo, hi], got {value!r}")
+            f"{var.name}: continuous assignment must be [lo, hi], got {value!r}")
     try:
-        return Range(float(value[0]), float(value[1]))
+        return float(value[0]), float(value[1])
     except OverflowError:
-        raise errors.MalformedReply(f"{name}: range bound too large for a float") from None
+        raise errors.MalformedReply(f"{var.name}: range bound too large for a float") from None
 
 
-def parse_proposal_reply(text: str, ctx: ProposerContext) -> list[Proposal]:
+def parse_proposal_reply(text: str, ctx: ProposerContext) -> Proposals:
     """Validate a proposal reply; drop infeasible entries, rescale counts.
 
     Shape violations (wrong JSON, missing variables, bad num) raise
     MalformedReply so the caller can re-ask. Schema violations inside an
     otherwise well-formed proposal (unknown category, range out of bounds)
-    drop just that proposal.
+    drop just that proposal. Categories become codes here, as the JSON is read.
     """
     doc = _reply_json(text)
     if not isinstance(doc, list) or not doc:
         raise errors.MalformedReply("reply must be a non-empty JSON array of proposals")
     if len(doc) > ctx.k:
         raise errors.MalformedReply(f"{len(doc)} proposals returned, at most {ctx.k} requested")
-    candidates: list[Proposal] = []
+    rows, nums = [], []
     for i, item in enumerate(doc):
         if not isinstance(item, dict):
             raise errors.MalformedReply(f"proposal {i} is not an object")
@@ -276,24 +270,21 @@ def parse_proposal_reply(text: str, ctx: ProposerContext) -> list[Proposal]:
         if not isinstance(num, int) or isinstance(num, bool) or not 1 <= num <= MAX_NUM:
             raise errors.MalformedReply(
                 f"proposal {i} needs an integer num in [1, 2**53], got {num!r:.40}")
-        rationale = item.get("rationale", "")
-        if not isinstance(rationale, str):
+        if not isinstance(item.get("rationale", ""), str):
             raise errors.MalformedReply(f"proposal {i} rationale must be a string")
-        candidates.append(Proposal(
-            {n: _assignment_from_json(ctx.schema, n, v) for n, v in assignments.items()},
-            num, rationale))
-    kept: list[Proposal] = []
-    for i, p in enumerate(candidates):
-        try:
-            validate_proposal(p, ctx.schema)
-        except errors.InfeasibleProposal as exc:
-            log.warning("dropping infeasible proposal %d: %s", i, exc)
-            continue
-        kept.append(p)
-    if not kept:
+        rows.append([_assignment_from_json(var, assignments[var.name]) for var in ctx.schema])
+        nums.append(num)
+    columns = [np.array(col, dtype=np.float64 if isinstance(var.kind, Continuous) else np.int64)
+               for var, col in zip(ctx.schema, zip(*rows))]
+    proposals = Proposals(ctx.schema, columns, np.array(nums, dtype=np.int64))
+    infeasible = validate_proposal(proposals)
+    for i in sorted(infeasible):
+        log.warning("dropping infeasible proposal %d: %s", i, infeasible[i])
+    kept = np.array([i for i in range(len(proposals)) if i not in infeasible], dtype=np.int64)
+    if not len(kept):
         raise errors.MalformedReply("every proposal in the reply was infeasible")
-    counts = _rescale_counts([p.num for p in kept], ctx.batch_size)
-    return [Proposal(p.assignments, c, p.rationale) for p, c in zip(kept, counts)]
+    return Proposals(ctx.schema, [col[kept] for col in proposals.columns],
+                     _rescale_counts(proposals.num[kept], ctx.batch_size))
 
 
 def _max_components(n_vars: int) -> int:
@@ -410,6 +401,6 @@ class LlmProposer:
         messages = render_prompt("copula", ctx, self.config.prompt_budget)
         return self._ask(messages, lambda text: parse_copula_reply(text, ctx))
 
-    def propose(self, ctx: ProposerContext) -> list[Proposal]:
+    def propose(self, ctx: ProposerContext) -> Proposals:
         messages = render_prompt("proposal", ctx, self.config.prompt_budget)
         return self._ask(messages, lambda text: parse_proposal_reply(text, ctx))

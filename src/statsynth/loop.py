@@ -23,7 +23,7 @@ from .discrepancy import compute_report
 from .metrics import metric_suite
 from .proposals import (
     ComponentContext,
-    Proposal,
+    Proposals,
     ProposerContext,
     validate_proposal,
 )
@@ -92,32 +92,28 @@ def _iteration_seed(seed: int, t: int, purpose: int) -> int:
 # sampling
 
 
-def sample_batch(schema: VariableSchema, proposals: list[Proposal],
-                 rng: np.random.Generator) -> Dataset:
-    """Exactly p.num records per proposal, in proposal order.
+def sample_batch(proposals: Proposals, rng: np.random.Generator) -> Dataset:
+    """Exactly num[i] records for proposal i, in proposal order.
 
-    Categories are taken verbatim, ranges drawn uniformly. Proposals must
-    already be validated: the columns go into the dataset unchecked.
+    Category codes are taken verbatim, ranges drawn uniformly. Proposals
+    must already be validated: the columns go into the dataset unchecked.
 
     All draws come from one rng.uniform call, ordered by proposal, then
     variable in schema order, then record: a proposal with num 3 and two
     ranges takes draws 0-2 for the first range and 3-5 for the second. A
     range with lo == hi takes no draw; its records all get lo.
     """
-    nums = np.array([p.num for p in proposals], dtype=np.int64)
-    names = schema.names
-    rows = [[p.assignments[name] for name in names] for p in proposals]
+    schema, nums = proposals.schema, proposals.num
     columns: list = [None] * len(schema)
     ranges = []  # schema positions of the continuous variables
-    for j, var in enumerate(schema):
+    for j, (var, col) in enumerate(zip(schema, proposals.columns)):
         if isinstance(var.kind, Discrete):
-            index = {c: i for i, c in enumerate(var.kind.categories)}
-            codes = np.array([index[row[j].value] for row in rows], dtype=np.int64)
-            columns[j] = np.repeat(codes, nums)
+            columns[j] = np.repeat(col, nums)
         else:
             ranges.append(j)
-    bounds = np.array([[(row[j].lo, row[j].hi) for j in ranges] for row in rows],
-                      dtype=np.float64).reshape(len(rows), len(ranges), 2)
+    bounds = np.empty((len(nums), len(ranges), 2))
+    for i, j in enumerate(ranges):
+        bounds[:, i] = proposals.columns[j]
     lo, hi = bounds[..., 0], bounds[..., 1]
     values = np.repeat(lo, nums, axis=0)
     # (proposal, range) entries in draw order, num draws each
@@ -134,11 +130,13 @@ def sample_batch(schema: VariableSchema, proposals: list[Proposal],
     return Dataset._from_coded(schema, columns)
 
 
-def _check_batch(proposals: list[Proposal], schema: VariableSchema, batch_size: int) -> None:
+def _check_batch(proposals: Proposals, batch_size: int) -> None:
     # last line of defense: nothing unvalidated reaches the pool
-    for p in proposals:
-        validate_proposal(p, schema)
-    total = sum(p.num for p in proposals)
+    infeasible = validate_proposal(proposals)
+    if infeasible:
+        row = min(infeasible)
+        raise errors.InfeasibleProposal(f"proposal {row}: {infeasible[row]}")
+    total = sum(proposals.num.tolist())
     if total != batch_size:
         raise errors.ProposerError(
             f"proposals allocate {total} records, batch needs {batch_size}")
@@ -362,8 +360,8 @@ class _Outputs:
     def rewrite_derived(self, history: list[dict]) -> None:
         if not history:
             return
-        # sorted so the header survives a JSON round-trip through metrics.jsonl
-        units = sorted(history[0]["units"])
+        # units of every iteration (components can change), sorted as in metrics.jsonl
+        units = sorted(set().union(*(row["units"] for row in history)))
         lines = ["iteration,mean_tvd," + ",".join(units)]
         for row in history:
             cells = [str(row["iteration"]), repr(row["mean_tvd"])]
@@ -451,9 +449,9 @@ def run(
             guidance=guidance,
             real_codes=real_codes,
         ))
-        _check_batch(proposals, schema, cfg.batch_size)
+        _check_batch(proposals, cfg.batch_size)
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, t, 6)))
-        batch = sample_batch(schema, proposals, rng)
+        batch = sample_batch(proposals, rng)
         batch_codes = encode(batch, specs)
         state.pool = concat(state.pool, batch)
         pool_codes = pool_codes.append(batch_codes)

@@ -20,8 +20,8 @@ does not uncover fresh mismatch.
 The batch plan is an integer matrix of codes, one row per set of
 interchangeable batch slots, plus a count per row: filling a variable
 splits every row by category or main-bin code, and the sub-bin stage turns
-each continuous column into fine codes 8*main + sub. Rows are decoded into
-proposals once, at the end, in the order the fill produced them.
+each continuous column into fine codes 8*main + sub. The plan leaves as
+Proposals columns, each fine code as the [lo, hi] of its fine bin.
 
 Integerization uses randomized largest-remainder apportionment (unbiased)
 and a transportation rounding that keeps plan rows and code columns
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import errors
 from .discrepancy import DiscrepancyReport
-from .proposals import ComponentContext, FixedCategory, Proposal, ProposerContext, Range
+from .proposals import ComponentContext, Proposals, ProposerContext
 from .schema import Continuous, Discrete
 from .summaries import (
     SUB_BINS,
@@ -393,7 +393,7 @@ class OracleProposer:
                               infer_components(ctx))
         return list(m[4])
 
-    def propose(self, ctx: ProposerContext) -> list[Proposal]:
+    def propose(self, ctx: ProposerContext) -> Proposals:
         if ctx.real_codes is None:
             raise errors.ConfigError("oracle needs real_codes for batch composition")
         rng = np.random.default_rng(ctx.seed)
@@ -414,7 +414,7 @@ class OracleProposer:
                     bin_i, row = sub_rows[var.name]
                     detail[bin_i] = row
                 codes, counts = _sub_split(codes, counts, col, detail, rng)
-        return _decode(ctx, codes, counts, f"close the largest gap ({target})")
+        return _decode(ctx, codes, counts)
 
 
 def _fill_variable(lattice: _Lattice, w: np.ndarray, filled: list[int], codes: np.ndarray,
@@ -473,23 +473,14 @@ def _sub_split(codes: np.ndarray, counts: np.ndarray, col: int, detail: np.ndarr
     return np.concatenate(out_codes), np.concatenate(out_counts)
 
 
-def _decode(ctx: ProposerContext, codes: np.ndarray, counts: np.ndarray,
-            rationale: str) -> list[Proposal]:
-    """One proposal per plan row, in row order.
-
-    codes has one column per schema variable: a category code, or the fine
-    code of a continuous variable.
-    """
-    choices = []
-    for var in ctx.schema:
+def _decode(ctx: ProposerContext, codes: np.ndarray, counts: np.ndarray) -> Proposals:
+    """One proposal per plan row, in row order: a category code passes
+    through, a continuous fine code f becomes its bin [grid[f], grid[f + 1]]."""
+    columns = []
+    for var, col in zip(ctx.schema, codes.T):
         if isinstance(var.kind, Discrete):
-            choices.append([FixedCategory(c) for c in var.kind.categories])
+            columns.append(col)
         else:
-            spec = ctx.bin_specs[var.name]
-            edges = [spec.sub_edges(i) for i in range(spec.n_main)]
-            choices.append([Range(float(e[j]), float(e[j + 1]))
-                            for e in edges for j in range(SUB_BINS)])
-    names = ctx.schema.names
-    return [Proposal({name: options[code] for name, options, code in zip(names, choices, row)},
-                     count, rationale)
-            for row, count in zip(codes.tolist(), counts.tolist())]
+            grid = ctx.bin_specs[var.name].fine_edges()
+            columns.append(np.column_stack([grid[col], grid[col + 1]]))
+    return Proposals(ctx.schema, columns, counts)

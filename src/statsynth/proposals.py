@@ -1,16 +1,17 @@
-"""Proposal types and the pluggable proposer contract.
+"""Proposal columns and the pluggable proposer contract.
 
 A proposal is a sampleable region of the joint variable space: every schema
 variable is pinned to either a fixed category or a numeric range, together
 with a sample count. Proposers (the deterministic oracle, or an LLM client)
-consume a ProposerContext and emit proposals; the synthesis loop turns them
-into records.
+consume a ProposerContext and emit a batch of proposals as Proposals
+columns; the synthesis loop samples records straight from those columns.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Protocol, Union
+from typing import Protocol, Sequence
+
+import numpy as np
 
 from . import errors
 from .discrepancy import DiscrepancyReport
@@ -18,64 +19,74 @@ from .schema import Dataset, Discrete, VariableSchema
 from .summaries import BinSpec, Codes, StructuralComponent, SummarySet
 
 
-@dataclass(frozen=True)
-class FixedCategory:
-    value: str
+class Proposals:
+    """k proposals as columns over a schema.
+
+    columns[j] holds schema variable j for every proposal: an int64 (k,)
+    column of category codes for a discrete variable, a float64 (k, 2)
+    column of [lo, hi] bounds for a continuous one. num is the int64 (k,)
+    column of record counts. The constructor checks shapes and dtypes only;
+    validate_proposal checks the values.
+    """
+
+    __slots__ = ("schema", "columns", "num")
+
+    def __init__(self, schema: VariableSchema, columns: Sequence[np.ndarray],
+                 num: np.ndarray) -> None:
+        self.schema, self.num = schema, np.asarray(num)
+        self.columns = tuple(np.asarray(col) for col in columns)
+        if self.num.ndim != 1 or self.num.dtype != np.int64:
+            raise errors.InfeasibleProposal(f"num must be a 1-D int64 column, got {self.num!r:.60}")
+        k = len(self.num)
+        if len(self.columns) != len(schema):
+            problem = ("missing columns" if len(self.columns) < len(schema)
+                       else "columns for unknown variables")
+            raise errors.InfeasibleProposal(
+                f"{problem}: {len(self.columns)} for {len(schema)} schema variables")
+        for var, col in zip(schema, self.columns):
+            if isinstance(var.kind, Discrete):
+                need, shape, dtype = "a fixed category", (k,), np.int64
+            else:
+                need, shape, dtype = "a range", (k, 2), np.float64
+            if col.shape != shape or col.dtype != dtype:
+                raise errors.InfeasibleProposal(
+                    f"{var.name} needs {need} per proposal, a {shape} {np.dtype(dtype)} "
+                    f"column; got {col.dtype} {col.shape}")
+
+    def __len__(self) -> int:
+        return len(self.num)
 
 
-@dataclass(frozen=True)
-class Range:
-    lo: float
-    hi: float
+def validate_proposal(proposals: Proposals) -> dict[int, str]:
+    """Why each infeasible proposal cannot be sampled, by row; empty when none is.
 
+    A row is infeasible when its num is below 1, a code names no category,
+    or a range is non-finite, empty (lo > hi) or outside the variable's
+    bounds. Each row gets its first reason in that order, variables taken
+    in schema order.
+    """
+    reasons: dict[int, str] = {}
 
-Assignment = Union[FixedCategory, Range]
+    def flag(mask: np.ndarray, reason) -> None:
+        for i in np.flatnonzero(mask).tolist():
+            reasons.setdefault(i, reason(i))
 
-
-@dataclass(frozen=True)
-class Proposal:
-    """A complete variable configuration plus the number of records to draw."""
-
-    assignments: dict[str, Assignment]
-    num: int
-    rationale: str = ""
-
-
-def validate_proposal(proposal: Proposal, schema: VariableSchema) -> None:
-    """Raise InfeasibleProposal unless the proposal is sampleable under schema."""
-    if not isinstance(proposal.num, int) or proposal.num < 1:
-        raise errors.InfeasibleProposal(f"num must be a positive integer, got {proposal.num!r}")
-    names = set(schema.names)
-    got = set(proposal.assignments)
-    missing = names - got
-    if missing:
-        raise errors.InfeasibleProposal(f"missing assignments for {sorted(missing)}")
-    extra = got - names
-    if extra:
-        raise errors.InfeasibleProposal(f"unknown variables {sorted(extra)}")
-    for var in schema:
-        value = proposal.assignments[var.name]
-        kind = var.kind
+    num = proposals.num
+    flag(num < 1, lambda i: f"num must be a positive integer, got {num[i]}")
+    for var, col in zip(proposals.schema, proposals.columns):
+        kind, name = var.kind, var.name
         if isinstance(kind, Discrete):
-            if not isinstance(value, FixedCategory):
-                raise errors.InfeasibleProposal(
-                    f"{var.name} is discrete and needs a fixed category, got {value!r}")
-            if value.value not in kind.categories:
-                raise errors.InfeasibleProposal(
-                    f"{var.name}: unknown category {value.value!r}")
-        else:
-            if not isinstance(value, Range):
-                raise errors.InfeasibleProposal(
-                    f"{var.name} is continuous and needs a range, got {value!r}")
-            lo, hi = value.lo, value.hi
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise errors.InfeasibleProposal(f"{var.name}: non-finite range")
-            if lo > hi:
-                raise errors.InfeasibleProposal(f"{var.name}: empty range [{lo}, {hi}]")
-            if lo < kind.lower or hi > kind.upper:
-                raise errors.InfeasibleProposal(
-                    f"{var.name}: range [{lo}, {hi}] outside bounds "
-                    f"[{kind.lower}, {kind.upper}]")
+            flag((col < 0) | (col >= len(kind.categories)),
+                 lambda i: f"{name}: unknown category code {col[i]}")
+            continue
+        lo, hi = col[:, 0], col[:, 1]
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        flag(~finite, lambda i: f"{name}: non-finite range")
+        flag(finite & (lo > hi), lambda i: f"{name}: empty range [{lo[i]}, {hi[i]}]")
+        flag(finite & ((lo < kind.lower) | (hi > kind.upper)),
+             lambda i: f"{name}: range [{lo[i]}, {hi[i]}] outside bounds "
+                       f"[{kind.lower}, {kind.upper}]")
+    return reasons
 
 
 @dataclass(frozen=True)
@@ -135,8 +146,11 @@ class ComponentContext:
 
 
 class Proposer(Protocol):
+    """propose returns Proposals over ctx.schema, every row feasible and num
+    summing to ctx.batch_size; the loop refuses any other batch."""
+
     name: str
 
     def infer_components(self, ctx: ComponentContext) -> list[StructuralComponent]: ...
 
-    def propose(self, ctx: ProposerContext) -> list[Proposal]: ...
+    def propose(self, ctx: ProposerContext) -> Proposals: ...

@@ -60,16 +60,18 @@ class BinSpec:
         """The nine edges of the equal-width sub-bins of main bin i."""
         return np.linspace(self.edges[i], self.edges[i + 1], SUB_BINS + 1)
 
-    def fine_codes(self, values: np.ndarray) -> np.ndarray:
-        """Fine code 8*main + sub per value.
+    def fine_edges(self) -> np.ndarray:
+        """The 8*n_main + 1 fine-grid edges; fine code f spans edges f and f + 1.
 
-        One search over every bin's sub-edges: the first eight of each main
-        bin, then the last main edge. Main edge e_i is sub-edge 0 of bin i, so
-        the code's main part is the main bin an edge search would give.
+        Entry 8i + j is sub_edges(i)[j], for j = 8 too: linspace ends on its
+        stop exactly. So main edge e_i is entry 8i.
         """
-        grid = np.concatenate([self.sub_edges(i)[:-1] for i in range(self.n_main)]
+        return np.concatenate([self.sub_edges(i)[:-1] for i in range(self.n_main)]
                               + [np.asarray(self.edges[-1:])])
-        idx = np.searchsorted(grid, values, side="right") - 1
+
+    def fine_codes(self, values: np.ndarray) -> np.ndarray:
+        """Fine code 8*main + sub per value; its main part is the main bin."""
+        idx = np.searchsorted(self.fine_edges(), values, side="right") - 1
         return np.clip(idx, 0, SUB_BINS * self.n_main - 1).astype(np.int64)
 
 

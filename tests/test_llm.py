@@ -16,7 +16,7 @@ from statsynth.llm import (
     parse_proposal_reply,
     render_prompt,
 )
-from statsynth.proposals import ComponentContext, ProposerContext, Range, validate_proposal
+from statsynth.proposals import ComponentContext, ProposerContext, validate_proposal
 from statsynth.reference import EcommerceParams, ecommerce_schema, generate
 from statsynth.schema import Dataset, Discrete
 from statsynth.summaries import (
@@ -132,15 +132,15 @@ def test_parse_valid_reply_rescales_to_batch():
         {"assignments": full_assignments(ctx.schema), "num": 1},
     ])
     out = parse_proposal_reply(reply, ctx)
-    assert [p.num for p in out] == [5, 5]
-    assert sum(p.num for p in out) == ctx.batch_size
+    assert out.num.tolist() == [5, 5]
+    assert out.num.sum() == ctx.batch_size
 
 
 def test_parse_accepts_fenced_json():
     ctx = make_ctx(k=1, batch_size=4)
     inner = json.dumps([{"assignments": full_assignments(ctx.schema), "num": 4}])
     out = parse_proposal_reply(f"```json\n{inner}\n```", ctx)
-    assert out[0].num == 4
+    assert out.num.tolist() == [4]
 
 
 def test_parse_missing_variable_is_malformed():
@@ -166,15 +166,17 @@ def test_parse_too_many_proposals_is_malformed():
         parse_proposal_reply(json.dumps([item, item]), ctx)
 
 
-def test_infeasible_proposal_dropped_and_rescaled():
+def test_infeasible_proposal_dropped_and_rescaled(caplog):
     ctx = make_ctx(k=2, batch_size=9)
     good = {"assignments": full_assignments(ctx.schema), "num": 3, "rationale": "ok"}
     bad = {"assignments": {**full_assignments(ctx.schema), "price": [0.0, 1e9]},
            "num": 6, "rationale": "out of bounds"}
     out = parse_proposal_reply(json.dumps([good, bad]), ctx)
+    assert "dropping infeasible proposal 1: price: range [0.0, 1000000000.0]" in caplog.text
     assert len(out) == 1
-    assert out[0].num == 9
-    assert isinstance(out[0].assignments["price"], Range)
+    assert out.num.tolist() == [9]
+    price = ctx.schema.index("price")
+    assert out.columns[price].tolist() == [good["assignments"]["price"]]
 
 
 def test_all_infeasible_is_malformed():
@@ -323,9 +325,8 @@ def test_proposal_reply_is_malformed_or_a_valid_batch(fuzz_contexts, text):
         out = parse_proposal_reply(text, ctx)
     except errors.MalformedReply:
         return
-    for p in out:
-        validate_proposal(p, ctx.schema)
-    assert sum(p.num for p in out) == ctx.batch_size
+    assert validate_proposal(out) == {}
+    assert out.num.sum() == ctx.batch_size
 
 
 @given(_copula_texts)
@@ -360,7 +361,7 @@ def test_client_posts_model_and_messages(monkeypatch):
     with ScriptedChatServer([valid_reply(ctx)]) as server:
         proposer = LlmProposer(config(server.endpoint, temperature=0.4))
         out = proposer.propose(ctx)
-        assert sum(p.num for p in out) == 4
+        assert out.num.sum() == 4
         body = server.requests[0]
         assert body["model"] == "test-model"
         assert body["temperature"] == 0.4
@@ -380,7 +381,7 @@ def test_malformed_then_valid_succeeds_with_retry():
     ctx = make_ctx(k=1, batch_size=4)
     with ScriptedChatServer(["not json at all", valid_reply(ctx)]) as server:
         out = LlmProposer(config(server.endpoint)).propose(ctx)
-        assert sum(p.num for p in out) == 4
+        assert out.num.sum() == 4
         assert len(server.requests) == 2
 
 
@@ -397,7 +398,7 @@ def test_http_error_then_valid_recovers():
     ctx = make_ctx(k=1, batch_size=4)
     with ScriptedChatServer([500, valid_reply(ctx)]) as server:
         out = LlmProposer(config(server.endpoint)).propose(ctx)
-        assert sum(p.num for p in out) == 4
+        assert out.num.sum() == 4
 
 
 @pytest.mark.parametrize("status", [408, 429, 503])
@@ -405,7 +406,7 @@ def test_retryable_status_then_valid_recovers(status):
     ctx = make_ctx(k=1, batch_size=4)
     with ScriptedChatServer([status, valid_reply(ctx)]) as server:
         out = LlmProposer(config(server.endpoint)).propose(ctx)
-        assert sum(p.num for p in out) == 4
+        assert out.num.sum() == 4
         assert len(server.requests) == 2
 
 
@@ -449,7 +450,7 @@ def test_missing_variable_retried_then_ok():
     with ScriptedChatServer(replies) as server:
         out = LlmProposer(config(server.endpoint)).propose(ctx)
         assert len(server.requests) == 2
-        assert sum(p.num for p in out) == 4
+        assert out.num.sum() == 4
 
 
 def test_infer_components_over_http(ref_2k):

@@ -24,7 +24,7 @@ from statsynth.loop import (
     sample_batch,
 )
 from statsynth.oracle import OracleProposer
-from statsynth.proposals import FixedCategory, Proposal, ProposerContext, Range
+from statsynth.proposals import Proposals, ProposerContext
 from statsynth.reference import EcommerceParams, generate
 from statsynth.schema import (
     Continuous,
@@ -34,7 +34,9 @@ from statsynth.schema import (
     VariableSchema,
     load_csv,
     save_csv,
+    save_schema,
 )
+from statsynth.summaries import StructuralComponent
 
 
 @pytest.fixture(scope="module")
@@ -62,51 +64,62 @@ def assert_same_outputs(a, b) -> None:
 # sampling
 
 
+def proposals_of(schema, rows) -> Proposals:
+    """Proposals from (assignments, num) rows: category labels, (lo, hi) ranges."""
+    columns = []
+    for var in schema:
+        values = [assignments[var.name] for assignments, _ in rows]
+        if isinstance(var.kind, Discrete):
+            columns.append(np.array([var.kind.categories.index(v) for v in values],
+                                    dtype=np.int64))
+        else:
+            columns.append(np.array(values, dtype=np.float64).reshape(len(rows), 2))
+    return Proposals(schema, columns, np.array([num for _, num in rows], dtype=np.int64))
+
+
 def test_sample_all_fixed_yields_identical_records(tiny_schema):
-    p = Proposal({"color": FixedCategory("red"), "size": Range(4.0, 4.0)}, num=3)
+    p = proposals_of(tiny_schema, [({"color": "red", "size": (4.0, 4.0)}, 3)])
     rng = np.random.default_rng(0)
-    records = list(sample_batch(tiny_schema, [p], rng).iter_records())
+    records = list(sample_batch(p, rng).iter_records())
     assert len(records) == 3
     assert all(r.values == ("red", 4.0) for r in records)
 
 
 def test_sample_degenerate_range_is_constant(tiny_schema):
-    p = Proposal({"color": FixedCategory("blue"), "size": Range(7.5, 7.5)}, num=10)
-    records = sample_batch(tiny_schema, [p], np.random.default_rng(1)).iter_records()
+    p = proposals_of(tiny_schema, [({"color": "blue", "size": (7.5, 7.5)}, 10)])
+    records = sample_batch(p, np.random.default_rng(1)).iter_records()
     assert {r.values[1] for r in records} == {7.5}
 
 
 def test_sample_uniform_range_mean(tiny_schema):
     # mean of U(0, 10) is 5; with 1e5 draws the error is ~0.01
-    p = Proposal({"color": FixedCategory("red"), "size": Range(0.0, 10.0)},
-                 num=100_000)
-    batch = sample_batch(tiny_schema, [p], np.random.default_rng(2))
+    p = proposals_of(tiny_schema, [({"color": "red", "size": (0.0, 10.0)}, 100_000)])
+    batch = sample_batch(p, np.random.default_rng(2))
     values = np.array([r.values[1] for r in batch.iter_records()])
     assert abs(values.mean() - 5.0) < 0.1
     assert values.min() >= 0.0 and values.max() <= 10.0
 
 
 def test_sample_batch_orders_proposals(tiny_schema):
-    proposals = [
-        Proposal({"color": FixedCategory("red"), "size": Range(1.0, 1.0)}, num=2),
-        Proposal({"color": FixedCategory("blue"), "size": Range(2.0, 2.0)}, num=1),
-    ]
-    batch = sample_batch(tiny_schema, proposals, np.random.default_rng(3))
+    proposals = proposals_of(tiny_schema, [
+        ({"color": "red", "size": (1.0, 1.0)}, 2),
+        ({"color": "blue", "size": (2.0, 2.0)}, 1),
+    ])
+    batch = sample_batch(proposals, np.random.default_rng(3))
     assert list(batch.column("color")) == ["red", "red", "blue"]
 
 
-def reference_sample_batch(schema, proposals, rng):
+def reference_sample_batch(proposals, rng):
     """The sampler as first written: one np.full or rng.uniform per cell."""
-    columns = [[] for _ in schema]
-    for p in proposals:
-        for part, var in zip(columns, schema):
-            a = p.assignments[var.name]
-            if isinstance(a, FixedCategory):
-                part.append(np.full(p.num, var.kind.categories.index(a.value), dtype=np.int64))
-            elif a.lo == a.hi:
-                part.append(np.full(p.num, a.lo, dtype=np.float64))
+    columns = [[] for _ in proposals.schema]
+    for i, num in enumerate(proposals.num.tolist()):
+        for part, var, col in zip(columns, proposals.schema, proposals.columns):
+            if isinstance(var.kind, Discrete):
+                part.append(np.full(num, col[i], dtype=np.int64))
+            elif col[i, 0] == col[i, 1]:
+                part.append(np.full(num, col[i, 0], dtype=np.float64))
             else:
-                part.append(rng.uniform(a.lo, a.hi, size=p.num))
+                part.append(rng.uniform(col[i, 0], col[i, 1], size=num))
     return [np.concatenate(part) for part in columns]
 
 
@@ -122,29 +135,29 @@ MIXED_SCHEMA = VariableSchema((
 @st.composite
 def mixed_proposals(draw):
     """Proposals over MIXED_SCHEMA with num 1-5; about a third of ranges have lo == hi."""
-    proposals = []
+    rows = []
     for _ in range(draw(st.integers(1, 12))):
         assignments = {}
         for var in MIXED_SCHEMA:
             kind = var.kind
             if isinstance(kind, Discrete):
-                assignments[var.name] = FixedCategory(draw(st.sampled_from(kind.categories)))
+                assignments[var.name] = draw(st.sampled_from(kind.categories))
                 continue
             ends = sorted(draw(st.lists(st.floats(kind.lower, kind.upper),
                                         min_size=2, max_size=2)))
             if draw(st.integers(0, 2)) == 0:
                 ends[1] = ends[0]
-            assignments[var.name] = Range(*ends)
-        proposals.append(Proposal(assignments, num=draw(st.integers(1, 5))))
-    return proposals
+            assignments[var.name] = tuple(ends)
+        rows.append((assignments, draw(st.integers(1, 5))))
+    return proposals_of(MIXED_SCHEMA, rows)
 
 
 @given(mixed_proposals(), st.integers(0, 2**31))
 @settings(max_examples=200, deadline=None)
 def test_sample_batch_matches_per_cell_reference(proposals, seed):
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = sample_batch(MIXED_SCHEMA, proposals, rng_new)
-    want = reference_sample_batch(MIXED_SCHEMA, proposals, rng_ref)
+    got = sample_batch(proposals, rng_new)
+    want = reference_sample_batch(proposals, rng_ref)
     for col, ref in zip(got.columns, want):
         assert col.dtype == ref.dtype and col.tobytes() == ref.tobytes()
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
@@ -203,11 +216,93 @@ def test_batch_contract_enforced(real_small):
     class ShortchangingProposer(OracleProposer):
         def propose(self, ctx: ProposerContext):
             proposals = super().propose(ctx)
-            trimmed = Proposal(proposals[0].assignments, proposals[0].num - 1)
-            return [trimmed] + proposals[1:]
+            num = proposals.num.copy()
+            num[num.argmax()] -= 1
+            return Proposals(proposals.schema, proposals.columns, num)
 
     with pytest.raises(errors.ProposerError):
         run(real_small, small_cfg(iterations=1), ShortchangingProposer())
+
+
+def _first(schema, discrete: bool) -> int:
+    return next(j for j, var in enumerate(schema) if isinstance(var.kind, Discrete) == discrete)
+
+
+def _unknown_code(schema, columns, num):
+    j = _first(schema, True)
+    columns[j][0] = len(schema.variables[j].kind.categories)
+
+
+def _range_past_upper(schema, columns, num):
+    j = _first(schema, False)
+    columns[j][0, 1] = schema.variables[j].kind.upper + 1.0
+
+
+def _nan_bound(schema, columns, num):
+    columns[_first(schema, False)][0, 0] = math.nan
+
+
+def _inf_bound(schema, columns, num):
+    columns[_first(schema, False)][0, 1] = math.inf
+
+
+def _num_zero(schema, columns, num):
+    num[1] += num[0]
+    num[0] = 0
+
+
+def _one_record_too_many(schema, columns, num):
+    num[0] += 1
+
+
+class SpoilsSecondBatch(OracleProposer):
+    """The oracle, with spoil(schema, columns, num) applied to its second batch."""
+
+    def __init__(self, spoil) -> None:
+        super().__init__()
+        self.spoil = spoil
+
+    def propose(self, ctx: ProposerContext):
+        proposals = super().propose(ctx)
+        if not ctx.pool_size:
+            return proposals
+        columns, num = [col.copy() for col in proposals.columns], proposals.num.copy()
+        self.spoil(proposals.schema, columns, num)
+        return Proposals(proposals.schema, columns, num)
+
+
+@pytest.mark.parametrize("spoil, error", [
+    (_unknown_code, errors.InfeasibleProposal),
+    (_range_past_upper, errors.InfeasibleProposal),
+    (_nan_bound, errors.InfeasibleProposal),
+    (_inf_bound, errors.InfeasibleProposal),
+    (_num_zero, errors.InfeasibleProposal),
+    (_one_record_too_many, errors.ProposerError),
+], ids=lambda v: getattr(v, "__name__", "").lstrip("_"))
+def test_loop_refuses_a_spoilt_batch(tmp_path, real_small, spoil, error):
+    cfg = small_cfg(iterations=3)
+    with pytest.raises(errors.ProposerError) as raised:
+        run(real_small, cfg, SpoilsSecondBatch(spoil), tmp_path)
+    assert raised.type is error
+    # nothing of iteration 2 reached the pool or the logs
+    assert len((tmp_path / "metrics.jsonl").read_text().splitlines()) == 1
+    pool = load_csv(tmp_path / "checkpoint" / "pool.csv", real_small.schema)
+    assert len(pool) == cfg.batch_size
+    assert resume(tmp_path / "checkpoint", real_small.schema, cfg).iteration == 1
+
+
+def test_spoilt_batch_exits_3(tmp_path, real_small, monkeypatch, capsys):
+    from statsynth import cli
+
+    monkeypatch.setattr(cli, "OracleProposer", lambda: SpoilsSecondBatch(_num_zero))
+    save_csv(real_small, tmp_path / "real.csv")
+    save_schema(real_small.schema, tmp_path / "real.schema.json")
+    code = cli.main(["synthesize", "--real", str(tmp_path / "real.csv"),
+                     "--schema", str(tmp_path / "real.schema.json"),
+                     "--out", str(tmp_path / "run"), "--iterations", "2",
+                     "--batch-size", "40", "--proposals", "3", "--components", "2"])
+    assert code == 3
+    assert "num must be a positive integer" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +326,32 @@ def test_run_writes_logs(tmp_path, real_small):
     committed = json.loads((tmp_path / "checkpoint" / "manifest.json").read_text())["bytes"]
     assert committed == {name: (tmp_path / "checkpoint" / name).stat().st_size
                          for name in ("pool.csv", "../metrics.jsonl", "../identity.jsonl")}
+
+
+def test_convergence_csv_has_every_unit(tmp_path, real_small):
+    class SwitchesComponents(OracleProposer):
+        calls = 0
+
+        def infer_components(self, ctx):
+            self.calls += 1
+            pair = (("user_age", "gender") if self.calls == 1
+                    else ("location_tier", "product_category"))
+            return [StructuralComponent(pair)]
+
+    _, history = run(real_small, small_cfg(iterations=3, n_components=1),
+                     SwitchesComponents(), tmp_path)
+    lines = (tmp_path / "convergence.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert header[:2] == ["iteration", "mean_tvd"]
+    units = sorted(set().union(*(row["units"] for row in history)))
+    assert header[2:] == units
+    assert {"user_age+gender", "location_tier+product_category"} <= set(units)
+    for line, row in zip(lines[1:], history):
+        cells = dict(zip(header, line.split(",")))
+        assert cells == {"iteration": str(row["iteration"]), "mean_tvd": repr(row["mean_tvd"]),
+                         **{u: repr(row["units"][u]) if u in row["units"] else ""
+                            for u in units}}
+    assert cells["user_age+gender"] == "" and cells["location_tier+product_category"] != ""
 
 
 def test_identity_rows_mix_exactly(tmp_path, real_small):

@@ -22,13 +22,7 @@ from statsynth.oracle import (
     infer_components,
     pairwise_mi,
 )
-from statsynth.proposals import (
-    ComponentContext,
-    FixedCategory,
-    ProposerContext,
-    Range,
-    validate_proposal,
-)
+from statsynth.proposals import ComponentContext, ProposerContext, validate_proposal
 from statsynth.schema import Continuous, Dataset, Discrete, Variable, VariableSchema
 from statsynth.summaries import (
     SUB_BINS,
@@ -106,14 +100,12 @@ def steering_ctx(real: Dataset, pool: Dataset, *, batch_size=200, seed=0,
     )
 
 
-def proposal_marginal(proposals, var, labels):
-    """num-weighted distribution of a discrete variable across proposals."""
-    weights = dict.fromkeys(labels, 0.0)
-    total = 0
-    for p in proposals:
-        weights[p.assignments[var].value] += p.num
-        total += p.num
-    return {l: w / total for l, w in weights.items()}
+def proposal_marginal(proposals, var):
+    """num-weighted distribution of a discrete variable's codes across proposals."""
+    j = proposals.schema.index(var)
+    n_codes = len(proposals.schema.variables[j].kind.categories)
+    weights = np.bincount(proposals.columns[j], weights=proposals.num, minlength=n_codes)
+    return weights / proposals.num.sum()
 
 
 def test_all_a_frozen_example():
@@ -122,8 +114,8 @@ def test_all_a_frozen_example():
     proposals = oracle_allocate(report, real, 100, schema=ONE_VAR, pool_size=100,
                                 real_data=data)
     assert len(proposals) == 1
-    assert proposals[0].assignments == {"c": FixedCategory("A")}
-    assert proposals[0].num == 100
+    assert proposals.columns[0].tolist() == [0]  # A
+    assert proposals.num.tolist() == [100]
 
 
 def test_batch_size_one():
@@ -131,7 +123,7 @@ def test_batch_size_one():
     data = one_var_data(ONE_VAR, {"A": 0.7, "B": 0.3})
     proposals = oracle_allocate(report, real, 1, schema=ONE_VAR, pool_size=100,
                                 real_data=data)
-    assert len(proposals) == 1 and proposals[0].num == 1
+    assert len(proposals) == 1 and proposals.num.tolist() == [1]
 
 
 def test_overgenerated_cell_never_targeted():
@@ -141,8 +133,8 @@ def test_overgenerated_cell_never_targeted():
     data = one_var_data(schema, {"A": 0.6, "B": 0.2, "C": 0.2})
     proposals = oracle_allocate(report, real, 100, schema=schema, pool_size=100,
                                 real_data=data)
-    assert proposals
-    assert all(p.assignments["c"].value != "B" for p in proposals)
+    assert len(proposals)
+    assert 1 not in proposals.columns[0]  # B
 
 
 dist = st.lists(st.integers(0, 50), min_size=2, max_size=8).filter(lambda w: sum(w) > 0)
@@ -305,16 +297,14 @@ def test_transport_round_rejects_unequal_totals(cols):
 def test_empty_pool_batch_matches_real_marginals(ref_2k):
     ctx = steering_ctx(ref_2k, Dataset.empty(ref_2k.schema), batch_size=200)
     proposals = OracleProposer().propose(ctx)
-    assert sum(p.num for p in proposals) == 200
-    for p in proposals:
-        validate_proposal(p, ref_2k.schema)
+    assert proposals.num.sum() == 200
+    assert validate_proposal(proposals) == {}
     for var in ref_2k.schema.names:
-        kind = ref_2k.schema.kind(var)
-        if not isinstance(kind, Discrete):
+        if not isinstance(ref_2k.schema.kind(var), Discrete):
             continue
-        got = proposal_marginal(proposals, var, kind.categories)
+        got = proposal_marginal(proposals, var)
         real = ctx.real_summaries.marginals[var] / ctx.real_summaries.n
-        t = 0.5 * sum(abs(got[l] - p) for l, p in zip(kind.categories, real))
+        t = 0.5 * np.abs(got - real).sum()
         assert t <= 2 / 200 + 1e-9, f"{var}: TVD {t}"
 
 
@@ -323,11 +313,9 @@ def test_empty_pool_continuous_main_bins_match(ref_2k):
     proposals = OracleProposer().propose(ctx)
     for var in ("user_age", "price"):
         spec = ctx.bin_specs[var]
-        got = np.zeros(spec.n_main)
-        for p in proposals:
-            rng_val = p.assignments[var]
-            mid = 0.5 * (rng_val.lo + rng_val.hi)
-            got[spec.fine_codes(np.array([mid]))[0] // SUB_BINS] += p.num
+        mid = proposals.columns[ref_2k.schema.index(var)].mean(axis=1)
+        got = np.bincount(spec.fine_codes(mid) // SUB_BINS, weights=proposals.num,
+                          minlength=spec.n_main)
         got /= got.sum()
         table = ctx.real_summaries.marginals[var] / ctx.real_summaries.n
         r = ctx.real_summaries.refined.get(var)
@@ -343,33 +331,29 @@ def test_ranges_are_sub_bin_width(ref_2k):
     proposals = OracleProposer().propose(ctx)
     for var in ("user_age", "price"):
         spec = ctx.bin_specs[var]
-        widths = {
-            i: (spec.edges[i + 1] - spec.edges[i]) / 8 for i in range(spec.n_main)
-        }
-        for p in proposals:
-            r = p.assignments[var]
-            mid = 0.5 * (r.lo + r.hi)
-            i = int(spec.fine_codes(np.array([mid]))[0] // SUB_BINS)
-            assert r.hi - r.lo == pytest.approx(widths[i], rel=1e-9)
+        widths = np.diff(spec.edges) / 8
+        lo, hi = proposals.columns[ref_2k.schema.index(var)].T
+        main = spec.fine_codes(0.5 * (lo + hi)) // SUB_BINS
+        assert hi - lo == pytest.approx(widths[main], rel=1e-9)
 
 
 def test_deterministic_for_fixed_seed(ref_2k):
     a = OracleProposer().propose(steering_ctx(ref_2k, Dataset.empty(ref_2k.schema)))
     b = OracleProposer().propose(steering_ctx(ref_2k, Dataset.empty(ref_2k.schema)))
-    assert a == b
+    for x, y in zip(a.columns + (a.num,), b.columns + (b.num,)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def test_maintenance_mode_tracks_real(ref_2k):
     ctx = steering_ctx(ref_2k, ref_2k, batch_size=200)
     assert max(u.value for u in ctx.report.units.values()) == 0.0
     proposals = OracleProposer().propose(ctx)
-    assert sum(p.num for p in proposals) == 200
+    assert proposals.num.sum() == 200
     for var in ref_2k.schema.names:
-        kind = ref_2k.schema.kind(var)
-        if isinstance(kind, Discrete):
-            got = proposal_marginal(proposals, var, kind.categories)
+        if isinstance(ref_2k.schema.kind(var), Discrete):
+            got = proposal_marginal(proposals, var)
             real = ctx.real_summaries.marginals[var] / ctx.real_summaries.n
-            t = 0.5 * sum(abs(got[l] - p) for l, p in zip(kind.categories, real))
+            t = 0.5 * np.abs(got - real).sum()
             assert t <= 2 / 200 + 1e-9
 
 
@@ -390,9 +374,9 @@ def test_joint_target_corrects_dependence(two_binary_schema):
     assert report.joints["a+b"].value == pytest.approx(0.3)
     proposals = OracleProposer().propose(ctx)
     got = {}
-    for p in proposals:
-        key = (p.assignments["a"].value, p.assignments["b"].value)
-        got[key] = got.get(key, 0) + p.num
+    for a, b, num in zip(*(col.tolist() for col in proposals.columns + (proposals.num,))):
+        key = ("A0", "A1")[a], ("B0", "B1")[b]
+        got[key] = got.get(key, 0) + num
     assert got == {("A0", "B0"): 200, ("A1", "B1"): 200}
 
 
@@ -402,9 +386,8 @@ def test_pool_progression_keeps_conservation(ref_2k):
         pool = generate(EcommerceParams(), n_pool, seed=pool_seed)
         ctx = steering_ctx(ref_2k, pool, batch_size=200, seed=pool_seed)
         proposals = OracleProposer().propose(ctx)
-        assert sum(p.num for p in proposals) == 200
-        for p in proposals:
-            validate_proposal(p, ref_2k.schema)
+        assert proposals.num.sum() == 200
+        assert validate_proposal(proposals) == {}
 
 
 def test_infer_components_shape(ref_2k):
@@ -529,7 +512,7 @@ def test_propose_builds_no_labels(ref_2k, monkeypatch):
     ctx = steering_ctx(ref_2k, pool, batch_size=200)
     assert ctx.report.joints
     proposals = OracleProposer().propose(ctx)
-    assert sum(p.num for p in proposals) == 200
+    assert proposals.num.sum() == 200
 
 
 # ---------------------------------------------------------------------------

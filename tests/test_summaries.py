@@ -314,3 +314,32 @@ def test_fine_codes_match_interval_lookup(raw_edges, extra):
                  for v, m in zip(values, main)]
         want = np.bincount(cells, minlength=spec.n_main + SUB_BINS - 1)
         assert marginal_counts(codes, {"x": spec}, "x", r).tolist() == want.tolist()
+
+
+@st.composite
+def tight_or_wide_edges(draw) -> tuple[float, ...]:
+    """Strictly increasing main edges, some a few ulps apart, magnitudes up to 1e303."""
+    edge = draw(st.floats(-1e300, 1e300))
+    edges = [edge]
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            for _ in range(draw(st.integers(1, 4))):
+                edge = float(np.nextafter(edge, np.inf))
+        else:
+            # at least 1e-12 of max(1, |edge|), far above one ulp; at most a doubling
+            edge = edge + draw(st.floats(1e-12, 1.0)) * max(1.0, abs(edge))
+        edges.append(edge)
+    return tuple(edges)
+
+
+@given(tight_or_wide_edges())
+@settings(max_examples=300, deadline=None)
+def test_fine_edges_are_the_sub_edges_bit_for_bit(edges):
+    spec = BinSpec("x", edges)
+    grid = spec.fine_edges()
+    assert grid.shape == (SUB_BINS * spec.n_main + 1,)
+    for i in range(spec.n_main):
+        sub = spec.sub_edges(i)
+        for j in range(SUB_BINS):
+            pair = grid[SUB_BINS * i + j:SUB_BINS * i + j + 2]
+            assert pair.tobytes() == sub[j:j + 2].tobytes()
