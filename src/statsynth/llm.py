@@ -10,17 +10,19 @@ are dropped and the remainder rescaled.
 """
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import math
 import os
+import ssl
 import time
+import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from string import Template
 
 import numpy as np
-import requests
 
 from . import errors
 from .proposals import ComponentContext, Proposals, ProposerContext, validate_proposal
@@ -63,6 +65,10 @@ class ProposerConfig:
             raise errors.ConfigError("endpoint must be a non-empty URL")
         if not self.model:
             raise errors.ConfigError("model must be a non-empty name")
+        for name in ("temperature", "backoff", "timeout"):
+            # NaN would slip past the range checks below: every comparison with it is false
+            if not math.isfinite(getattr(self, name)):
+                raise errors.ConfigError(f"{name} must be a finite number")
         if self.temperature < 0:
             raise errors.ConfigError("temperature must be >= 0")
         if self.max_retries < 0:
@@ -330,35 +336,45 @@ def parse_copula_reply(text: str, ctx: ComponentContext) -> list[StructuralCompo
 class ChatClient:
     """One POST per complete() call; retries live in LlmProposer.
 
-    HTTP 4xx other than 408 and 429 raises RequestRejected, which is not
-    retried; other failures raise LlmUnavailable or MalformedReply.
+    A 3xx (never followed, so the token reaches no other host) and a 4xx other
+    than 408 and 429 raise RequestRejected, which is not retried; other
+    failures raise LlmUnavailable or MalformedReply. TLS uses the system trust store.
     """
 
     def __init__(self, config: ProposerConfig) -> None:
         self.config = config
+        # loading the trust store takes tens of ms, so only an https endpoint pays for it
+        tls = ssl.create_default_context() if config.endpoint.lower().startswith("https:") else None
+        # http(s) only, and no error processor: every status comes back, no redirect is followed
+        self._opener = urllib.request.OpenerDirector()
+        for handler in (urllib.request.ProxyHandler(), urllib.request.UnknownHandler(),
+                        urllib.request.HTTPHandler(), urllib.request.HTTPSHandler(context=tls)):
+            self._opener.add_handler(handler)
 
     def complete(self, messages: list[dict]) -> str:
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(TOKEN_ENV)
         if token:
             headers["Authorization"] = f"Bearer {token}"
-        body = {
+        body = json.dumps({
             "model": self.config.model,
             "messages": messages,
             "temperature": self.config.temperature,
-        }
+        }, allow_nan=False).encode()
         try:
-            resp = requests.post(self.config.endpoint, json=body,
-                                 headers=headers, timeout=self.config.timeout)
-        except requests.RequestException as exc:
+            with self._opener.open(urllib.request.Request(self.config.endpoint, body, headers),
+                                   timeout=self.config.timeout) as resp:
+                status, location, raw = resp.status, resp.headers["Location"], resp.read()
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise errors.LlmUnavailable(f"endpoint unreachable: {exc}") from exc
-        status = resp.status_code
+        if 300 <= status < 400:
+            raise errors.RequestRejected(f"endpoint redirected to {location!r}, not followed: HTTP {status}")
         if 400 <= status < 500 and status not in (408, 429):
             raise errors.RequestRejected(f"endpoint rejected the request: HTTP {status}")
         if status != 200:
             raise errors.LlmUnavailable(f"endpoint returned HTTP {status}")
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(raw)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise errors.MalformedReply(f"reply envelope is not chat-shaped: {exc!r}") from exc
         if not isinstance(content, str):

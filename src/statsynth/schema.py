@@ -343,6 +343,9 @@ def load_csv(path: str | Path, schema: VariableSchema, data: bytes | None = None
                 header = next(reader)
             except StopIteration:
                 raise EmptyFile(f"{path} has no header row") from None
+            twice = [h for i, h in enumerate(header) if h in header[:i]]
+            if twice:
+                raise SchemaMismatch(f"column {twice[0]!r} appears twice in the header of {path}")
             for name in schema.names:
                 if name not in header:
                     raise MissingColumn(name)
@@ -388,19 +391,28 @@ def schema_to_json(schema: VariableSchema) -> dict:
     return {"variables": out}
 
 
+def _bound(entry: Mapping, key: str) -> float:
+    value = entry[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{key} bound must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def schema_from_json(doc: Mapping) -> VariableSchema:
     try:
         entries = doc["variables"]
         variables = []
         for e in entries:
             if e["kind"] == "discrete":
+                if not isinstance(e["categories"], list):
+                    raise SchemaError(f"categories must be a JSON array, got {e['categories']!r}")
                 kind: VariableKind = Discrete(tuple(e["categories"]))
             elif e["kind"] == "continuous":
-                kind = Continuous(float(e["lower"]), float(e["upper"]))
+                kind = Continuous(_bound(e, "lower"), _bound(e, "upper"))
             else:
                 raise SchemaError(f"unknown kind {e['kind']!r}")
             variables.append(Variable(e["name"], kind))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise SchemaError(f"malformed schema document: {exc!r}") from exc
     return VariableSchema(tuple(variables))
 

@@ -190,6 +190,15 @@ def test_llm_requires_token_env(tmp_path, ref_paths):
     assert TOKEN_ENV in result.stderr
 
 
+def test_llm_non_finite_temperature_is_a_config_error(tmp_path, ref_paths):
+    result = run_cli(*synthesize_args(ref_paths, tmp_path / "run"),
+                     "--proposer", "llm", "--endpoint", "http://127.0.0.1:1/v1",
+                     "--model", "m", "--temperature", "nan",
+                     env_extra={TOKEN_ENV: "dummy-token"})
+    assert result.returncode == 2, result.stderr
+    assert "temperature must be a finite number" in result.stderr
+
+
 def _copula_reply() -> str:
     return json.dumps({"components": [
         {"variables": ["location_tier", "payment_method"]},

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import json
+import math
+import re
+import socket
+import threading
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +14,7 @@ from hypothesis import strategies as st
 from statsynth import errors
 from statsynth.discrepancy import compute_report
 from statsynth.llm import (
+    ChatClient,
     LlmProposer,
     ProposerConfig,
     _rescale_counts,
@@ -461,6 +467,110 @@ def test_infer_components_over_http(ref_2k):
     with ScriptedChatServer([reply]) as server:
         comps = LlmProposer(config(server.endpoint)).infer_components(cctx)
         assert [c.id for c in comps] == ["product_category+price"]
+
+
+class RawReplyServer:
+    """Answers one connection with fixed bytes, after reading the whole request.
+
+    The reply goes out `delay` seconds after the request arrived, or at
+    once when the server stops; then the connection closes.
+    """
+
+    def __init__(self, reply: bytes, delay: float = 0.0) -> None:
+        self.reply, self.delay = reply, delay
+        self._stop = threading.Event()
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self._sock.settimeout(10)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    @property
+    def endpoint(self) -> str:
+        host, port = self._sock.getsockname()[:2]
+        return f"http://{host}:{port}/v1/chat/completions"
+
+    def _serve(self) -> None:
+        try:
+            conn, _ = self._sock.accept()
+            with conn:
+                conn.settimeout(10)
+                data = b""
+                while b"\r\n\r\n" not in data:
+                    data += self._recv(conn)
+                head, _, body = data.partition(b"\r\n\r\n")
+                length = next(int(line.split(b":")[1]) for line in head.split(b"\r\n")
+                              if line.lower().startswith(b"content-length:"))
+                while len(body) < length:
+                    body += self._recv(conn)
+                self._stop.wait(self.delay)
+                conn.sendall(self.reply)
+        except OSError:
+            pass
+
+    @staticmethod
+    def _recv(conn: socket.socket) -> bytes:
+        chunk = conn.recv(65536)
+        if not chunk:
+            raise ConnectionError("client closed the connection mid-request")
+        return chunk
+
+    def __enter__(self) -> "RawReplyServer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stop.set()
+        self._thread.join(timeout=15)
+        self._sock.close()
+
+
+MESSAGES = [{"role": "user", "content": "hi"}]
+
+
+@pytest.mark.parametrize("reply, message", [
+    (b"HTTP/1.1 204 No Content\r\n\r\n", "endpoint returned HTTP 204"),
+    # a body shorter than its Content-Length
+    (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n"
+     b'{"choices": [', "endpoint unreachable"),
+    # the connection closes before any status line
+    (b"", "endpoint unreachable"),
+])
+def test_client_raw_failure_is_unavailable(reply, message):
+    with RawReplyServer(reply) as server:
+        with pytest.raises(errors.LlmUnavailable, match=message):
+            ChatClient(config(server.endpoint)).complete(MESSAGES)
+
+
+def test_client_slow_reply_times_out():
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"
+    with RawReplyServer(reply, delay=30.0) as server:
+        start = time.monotonic()
+        with pytest.raises(errors.LlmUnavailable, match="endpoint unreachable"):
+            ChatClient(config(server.endpoint, timeout=0.5)).complete(MESSAGES)
+        assert time.monotonic() - start < 2.5
+
+
+@pytest.mark.parametrize("url", ["localhost/v1/chat/completions", "file:///dev/null"])
+def test_client_url_not_http_is_unavailable(url):
+    with pytest.raises(errors.LlmUnavailable, match="endpoint unreachable"):
+        ChatClient(config(url)).complete(MESSAGES)
+
+
+def test_client_redirect_is_rejected_and_not_followed(monkeypatch):
+    monkeypatch.setenv("STATSYNTH_API_TOKEN", "sk-test-123")
+    with ScriptedChatServer(["elsewhere"]) as target:
+        reply = (f"HTTP/1.1 307 Temporary Redirect\r\nLocation: {target.endpoint}\r\n"
+                 "Content-Length: 0\r\n\r\n").encode()
+        with RawReplyServer(reply) as server:
+            with pytest.raises(errors.RequestRejected, match=re.escape(target.endpoint)):
+                ChatClient(config(server.endpoint)).complete(MESSAGES)
+        assert target.requests == []
+
+
+@pytest.mark.parametrize("field", ["temperature", "backoff", "timeout"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(errors.ConfigError, match=f"{field} must be a finite number"):
+        ProposerConfig(endpoint="http://x", model="m", **{field: value})
 
 
 def test_config_validation():

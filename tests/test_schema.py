@@ -138,6 +138,11 @@ def test_csv_errors(tmp_path, tiny_schema):
         load_csv(oob, tiny_schema)
     assert exc.value.row == 1 and exc.value.column == 1
 
+    twice = tmp_path / "t.csv"
+    twice.write_text("color,size,color\nred,1,blue\n", encoding="utf-8")
+    with pytest.raises(errors.SchemaMismatch, match="'color'"):
+        load_csv(twice, tiny_schema)
+
     extra = tmp_path / "x.csv"
     extra.write_text("color,size,junk\nred,1,2\n", encoding="utf-8")
     with pytest.raises(errors.SchemaMismatch):
@@ -165,6 +170,18 @@ def test_schema_json_round_trip(tmp_path, tiny_schema):
     assert load_schema(path) == tiny_schema
     with pytest.raises(errors.SchemaError):
         schema_from_json({"variables": [{"name": "x", "kind": "weird"}]})
+
+
+@pytest.mark.parametrize("entry", [
+    {"kind": "discrete", "categories": "MF"},
+    {"kind": "discrete", "categories": {"M": 1, "F": 2}},
+    {"kind": "continuous", "lower": True, "upper": 2.0},
+    {"kind": "continuous", "lower": 0.0, "upper": "2"},
+    {"kind": "continuous", "lower": 0.0, "upper": 10 ** 400},
+])
+def test_schema_json_rejects_mistyped_kinds(entry):
+    with pytest.raises(errors.SchemaError):
+        schema_from_json({"variables": [{"name": "x", **entry}]})
 
 
 @st.composite
