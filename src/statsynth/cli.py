@@ -33,7 +33,7 @@ _CONFIG_KEYS = frozenset({
 def _read_config(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise errors.ConfigError(f"cannot read config file {path}: {exc}") from exc
     entries: dict[str, str] = {}
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -177,7 +177,7 @@ def _parse_components(value: str, schema) -> tuple[StructuralComponent, ...]:
     if path.exists():
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise errors.ConfigError(f"cannot parse components file {value}: {exc}") from exc
         if isinstance(doc, list) and doc and isinstance(doc[-1], dict):
             groups = doc[-1].get("components")

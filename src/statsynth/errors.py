@@ -57,7 +57,8 @@ class EmptyFile(SynthError):
 
 
 class IoFailure(SynthError):
-    """Filesystem level failure wrapping the underlying OSError."""
+    """Filesystem failure wrapping the underlying OSError, or an input file
+    that cannot be read as UTF-8 CSV text."""
 
 
 # ---------------------------------------------------------------------------

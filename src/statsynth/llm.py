@@ -6,10 +6,12 @@ reply is parsed as JSON (component sets or proposals), validated against
 the schema, and counts are rescaled so every accepted batch sums to the
 requested size. Invalid replies never reach the sampler: structural
 problems raise MalformedReply and are retried, single infeasible proposals
-are dropped and the remainder rescaled.
+are dropped and the remainder rescaled. Each template is read from the
+package once per process.
 """
 from __future__ import annotations
 
+import functools
 import http.client
 import json
 import logging
@@ -85,6 +87,7 @@ class ProposerConfig:
 # prompt rendering
 
 
+@functools.cache
 def _template(name: str) -> Template:
     text = resources.files("statsynth").joinpath("templates", f"{name}.txt").read_text()
     return Template(text)
@@ -106,90 +109,71 @@ def report_payload(report: DiscrepancyReport, labels: dict[str, list],
         gap = unit.cells
         cells = (occupied(keys, unit.real, unit.synth) if name in report.joints
                  else range(len(keys)))
-        truncated = False
-        if top_cells is not None and len(cells) > top_cells:
-            cells = sorted(cells, key=lambda i: (-abs(gap[i]), str(keys[i])))[:top_cells]
-            truncated = True
-        entry: dict = {
-            "unit": name,
-            "delta": unit.value,
-            "cells": [
-                {
-                    "label": list(keys[i]) if isinstance(keys[i], tuple) else keys[i],
-                    "real": float(unit.real[i]),
-                    "synth": float(unit.synth[i]),
-                    "gap": float(gap[i]),
-                }
-                for i in cells
-            ],
-        }
+        entry: dict = {"unit": name, "delta": unit.value}
         if unit.empty_synth:
             entry["empty_synth"] = True
-        if truncated:
+        if top_cells is not None and len(cells) > top_cells:
+            cells = sorted(cells, key=lambda i: (-abs(gap[i]), str(keys[i])))[:top_cells]
             entry["truncated"] = True
+        entry["cells"] = [
+            {
+                "label": list(keys[i]) if isinstance(keys[i], tuple) else keys[i],
+                "real": float(unit.real[i]),
+                "synth": float(unit.synth[i]),
+                "gap": float(gap[i]),
+            }
+            for i in cells
+        ]
         units.append(entry)
     return {"units": units}
 
 
-def _components_payload(components) -> list[dict]:
-    return [{"variables": list(c.variables)} for c in components]
+def _proposal_stages(ctx):
+    """Template fields per truncation stage; each stage replaces one field of
+    the stage before, and is built only when the one before is too large."""
+    labels = unit_labels(ctx.real_summaries, ctx.schema, ctx.bin_specs)
+    fields = {"summaries": _dumps(summary_payload(ctx.real_summaries, labels)),
+              "report": _dumps(report_payload(ctx.report, labels)),
+              "components": _dumps([{"variables": list(c.variables)} for c in ctx.components]),
+              "k": str(ctx.k), "batch_size": str(ctx.batch_size), "guidance": ctx.guidance}
+    yield fields
+    brief = summary_payload(ctx.real_summaries, labels, include_detail=False)
+    fields["summaries"] = _dumps({**brief, "truncated_detail": True})
+    yield fields
+    fields["report"] = _dumps(report_payload(ctx.report, labels, TOP_GAP_CELLS))
+    yield fields
+
+
+def _copula_stages(ctx):
+    labels = unit_labels(ctx.real_marginals, ctx.schema, ctx.bin_specs)
+    marginals = summary_payload(ctx.real_marginals, labels)["marginals"]
+    yield {"summaries": _dumps({"marginals": marginals}), "n_components": str(ctx.n_components)}
+
+
+_STAGES = {"proposal": _proposal_stages, "copula": _copula_stages}
 
 
 def render_prompt(template: str, ctx, budget: int = 40_000) -> list[dict]:
     """Render the named prompt to a chat message list, byte-deterministic.
 
-    When the rendered text exceeds budget, sub-bin detail rows leave the
-    summaries first, then report units keep only their TOP_GAP_CELLS
-    largest gaps; if still too large, PromptTooLarge.
+    When the rendered proposal prompt exceeds budget, sub-bin detail rows
+    leave the summaries first, then report units keep only their
+    TOP_GAP_CELLS largest gaps; the copula prompt has no smaller form. A
+    prompt still too large raises PromptTooLarge.
     """
-    if template == "proposal":
-        labels = unit_labels(ctx.real_summaries, ctx.schema, ctx.bin_specs)
-        stages = [
-            {"include_detail": True, "top_cells": None},
-            {"include_detail": False, "top_cells": None},
-            {"include_detail": False, "top_cells": TOP_GAP_CELLS},
-        ]
-        for stage in stages:
-            summaries = summary_payload(ctx.real_summaries, labels, stage["include_detail"])
-            if not stage["include_detail"]:
-                summaries["truncated_detail"] = True
-            report = report_payload(ctx.report, labels, stage["top_cells"])
-            user = _template("proposal_user").substitute(
-                schema=_dumps(schema_to_json(ctx.schema)),
-                summaries=_dumps(summaries),
-                report=_dumps(report),
-                components=_dumps(_components_payload(ctx.components)),
-                k=str(ctx.k),
-                batch_size=str(ctx.batch_size),
-                guidance=ctx.guidance,
-            )
-            messages = [
-                {"role": "system", "content": _template("proposal_system").substitute()},
-                {"role": "user", "content": user},
-            ]
-            if sum(len(m["content"]) for m in messages) <= budget:
-                if stage != stages[0]:
-                    log.warning("prompt truncated to fit %d character budget", budget)
-                return messages
-        raise errors.PromptTooLarge(
-            f"proposal prompt exceeds {budget} characters after truncation")
-    if template == "copula":
-        labels = unit_labels(ctx.real_marginals, ctx.schema, ctx.bin_specs)
-        summaries = {"marginals": summary_payload(ctx.real_marginals, labels)["marginals"]}
-        user = _template("copula_user").substitute(
-            schema=_dumps(schema_to_json(ctx.schema)),
-            summaries=_dumps(summaries),
-            n_components=str(ctx.n_components),
-        )
-        messages = [
-            {"role": "system", "content": _template("copula_system").substitute()},
-            {"role": "user", "content": user},
-        ]
-        if sum(len(m["content"]) for m in messages) > budget:
-            raise errors.PromptTooLarge(
-                f"copula prompt exceeds {budget} characters")
-        return messages
-    raise errors.ConfigError(f"unknown prompt template {template!r}")
+    if template not in _STAGES:
+        raise errors.ConfigError(f"unknown prompt template {template!r}")
+    system = _template(f"{template}_system").substitute()
+    user = _template(f"{template}_user")
+    schema = _dumps(schema_to_json(ctx.schema))
+    for stage, fields in enumerate(_STAGES[template](ctx)):
+        content = user.substitute(schema=schema, **fields)
+        if len(system) + len(content) <= budget:
+            if stage:
+                log.warning("prompt truncated to fit %d character budget", budget)
+            return [{"role": "system", "content": system}, {"role": "user", "content": content}]
+    after = " after truncation" if stage else ""
+    raise errors.PromptTooLarge(f"{template} prompt exceeds {budget} characters{after}")
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,8 @@ from .schema import (  # noqa: F401
     load_csv,
     save_csv,
 )
-from .summaries import (
+# refine_all_bins is unused here but stays importable: perfbench traces loop.refine_all_bins
+from .summaries import (  # noqa: F401
     SummarySet,
     compute_summaries,
     encode,
@@ -432,9 +433,8 @@ def run(
             seed=_iteration_seed(cfg.seed, t, 1),
             batch_size=cfg.batch_size,
         ))
-        refined = refine_all_bins(specs, real_codes, pool_codes)
-        real_sum = compute_summaries(real_codes, specs, components, refined)
-        pool_sum = compute_summaries(pool_codes, specs, components, refined)
+        real_sum, pool_sum = evaluation_summaries(real_codes, pool_codes, specs, components)
+        refined = pool_sum.refined
         steering = compute_report(real_sum, pool_sum)
         proposals = proposer.propose(ProposerContext(
             schema=schema,

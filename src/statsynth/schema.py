@@ -140,7 +140,10 @@ def _encode_value(var: Variable, value: object, row: int, col: int) -> float:
             raise TypeMismatch(row, col, f"cannot parse {value!r} as a number for {var.name!r}") from None
     if not isinstance(value, (int, float, np.integer, np.floating)):
         raise TypeMismatch(row, col, f"expected a number for {var.name!r}, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        raise OutOfBounds(row, col, f"integer too large for a float for {var.name!r}") from None
     if not math.isfinite(x):
         raise TypeMismatch(row, col, f"non-finite number for {var.name!r}")
     if not (kind.lower <= x <= kind.upper):
@@ -361,6 +364,8 @@ def load_csv(path: str | Path, schema: VariableSchema, data: bytes | None = None
                 rows.append(row)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise IoFailure(f"cannot read {path} as UTF-8 CSV: {exc}") from exc
     if not rows:
         return Dataset.empty(schema)
     cells = list(zip(*rows))
@@ -435,8 +440,12 @@ def load_schema(path: str | Path) -> VariableSchema:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
+    # ValueError also covers integer literals past Python's digit limit,
+    # RecursionError arrays or objects nested too deep to parse
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     return schema_from_json(doc)

@@ -178,6 +178,39 @@ def test_config_file_rejects_unknown_key(tmp_path, ref_paths):
     assert "unknown key" in result.stderr
 
 
+@pytest.mark.parametrize("fault", ["csv-not-utf8", "schema-not-utf8", "config-not-utf8",
+                                   "csv-field-too-long", "schema-too-deep",
+                                   "components-too-deep"])
+def test_unreadable_input_file_exits_2(tmp_path, ref_paths, fault):
+    csv, sidecar = ref_paths
+    bad = tmp_path / "bad"
+    args = ["evaluate", "--real", str(csv), "--synth", str(csv), "--schema", str(sidecar)]
+    if fault == "csv-not-utf8":
+        bad.write_bytes(csv.read_bytes().replace(b"Male", b"M\xffale", 1))
+        args[2] = str(bad)
+    elif fault == "schema-not-utf8":
+        bad.write_bytes(sidecar.read_bytes().replace(b"Male", b"M\xffale", 1))
+        args[6] = str(bad)
+    elif fault == "config-not-utf8":
+        bad.write_bytes(f"real={csv}\nschema={sidecar}\nout={tmp_path / 'run'}\n".encode()
+                        + b"# \xff\n")
+        args = ["synthesize", "--config", str(bad)]
+    elif fault == "schema-too-deep":
+        bad.write_text("[" * 100_000)
+        args[6] = str(bad)
+    elif fault == "components-too-deep":
+        bad.write_text("[" * 100_000)
+        args += ["--components", str(bad)]
+    else:
+        header = csv.read_bytes().splitlines(True)[0]
+        bad.write_bytes(header + b'"' + b"a" * 200_000 + b'",1,2,3,4,5\n')
+        args[2] = str(bad)
+    result = run_cli(*args)
+    assert result.returncode == 2, result.stderr
+    assert str(bad) in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # synthesize (llm)
 

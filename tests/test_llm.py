@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import logging
 import math
 import re
 import socket
@@ -22,6 +24,7 @@ from statsynth.llm import (
     parse_proposal_reply,
     render_prompt,
 )
+from statsynth.loop import LoopConfig, run
 from statsynth.proposals import ComponentContext, ProposerContext, validate_proposal
 from statsynth.reference import EcommerceParams, ecommerce_schema, generate
 from statsynth.schema import Dataset, Discrete
@@ -433,6 +436,19 @@ def test_persistent_http_error_is_unavailable():
             LlmProposer(config(server.endpoint, max_retries=1)).propose(ctx)
 
 
+@pytest.mark.parametrize("backoff, delays", [(1.0, [1.0, 2.0, 4.0]), (0.0, [])])
+def test_backoff_doubles_per_retry(monkeypatch, backoff, delays):
+    slept = []
+    monkeypatch.setattr("statsynth.llm.time.sleep", slept.append)
+    ctx = make_ctx(k=1, batch_size=4)
+    with ScriptedChatServer([503]) as server:
+        proposer = LlmProposer(config(server.endpoint, backoff=backoff, max_retries=3))
+        with pytest.raises(errors.LlmUnavailable):
+            proposer.propose(ctx)
+        assert len(server.requests) == 4
+    assert slept == delays
+
+
 def test_unreachable_endpoint_is_unavailable():
     ctx = make_ctx(k=1, batch_size=4)
     proposer = LlmProposer(config("http://127.0.0.1:9/v1/chat", max_retries=0,
@@ -583,3 +599,71 @@ def test_config_validation():
     cfg = ProposerConfig(endpoint="http://x", model="m")
     assert cfg.temperature == 0.8
     assert cfg.max_retries == 3
+
+
+# ---------------------------------------------------------------------------
+# request bytes, end to end
+
+# SHA-256 of every request body of a 30-iteration llm run, the prompts rendered
+# at each truncation stage, the PromptTooLarge texts and the llm warnings: a
+# change to any byte the endpoint sees, or to a warning or error text, fails here
+REQUEST_BYTES_SHA256 = "29ab98f5ec0ba5dd6ae3885f846ace15837fe84b34242b99b7bb7c8cf73d175c"
+
+
+def _walking_replies(schema, iterations: int, k: int) -> list:
+    """Per iteration a copula reply, then k proposals whose assignments walk
+    the categories and five slices of each range; every ten iterations one
+    proposal request first gets a 503 and one a malformed reply."""
+    copula = json.dumps({"components": [
+        {"variables": ["location_tier", "payment_method"]},
+        {"variables": ["product_category", "price"]}]})
+    replies: list = []
+    for t in range(iterations):
+        items = []
+        for j in range(k):
+            assignments = {}
+            for var in schema:
+                if isinstance(var.kind, Discrete):
+                    cats = var.kind.categories
+                    assignments[var.name] = cats[(t + j) % len(cats)]
+                else:
+                    lo, step = var.kind.lower, (var.kind.upper - var.kind.lower) / 5
+                    i = (t + 2 * j) % 5
+                    assignments[var.name] = [lo + i * step, lo + (i + 1) * step]
+            items.append({"assignments": assignments, "num": j + 1, "rationale": f"t{t}"})
+        replies.append(copula)
+        if t % 10 == 3:
+            replies.append(503)
+        if t % 10 == 7:
+            replies.append("not json")
+        replies.append(json.dumps(items))
+    return replies
+
+
+def test_request_bytes_are_pinned(caplog, ref_2k):
+    caplog.set_level(logging.WARNING, logger="statsynth.llm")
+    real = generate(EcommerceParams(), 300, seed=5)
+    cfg = LoopConfig(iterations=30, proposals_per_iter=3, batch_size=20,
+                     n_components=2, seed=9, full_metrics_every=0)
+    with ScriptedChatServer(_walking_replies(real.schema, 30, 3)) as server:
+        run(real, cfg, LlmProposer(config(server.endpoint)), guidance="favour $k cheap items")
+    doc: dict = {"requests": server.requests}
+
+    ctx = make_ctx(guidance="weekend sale")
+    full = render_prompt("proposal", ctx)
+    stage2 = render_prompt("proposal", ctx, budget=sum(len(m["content"]) for m in full) - 1)
+    stage3 = render_prompt("proposal", ctx, budget=sum(len(m["content"]) for m in stage2) - 1)
+    base = fit_all_bins(ref_2k)
+    cctx = ComponentContext(ref_2k.schema, ref_2k, compute_summaries(ref_2k, base), base)
+    doc["renders"] = [full, stage2, stage3, render_prompt("copula", cctx)]
+    doc["errors"] = []
+    for template, c, budget in (("proposal", ctx, 500), ("copula", cctx, 1000)):
+        with pytest.raises(errors.PromptTooLarge) as exc:
+            render_prompt(template, c, budget=budget)
+        doc["errors"].append(str(exc.value))
+    doc["logs"] = [r.getMessage() for r in caplog.records if r.name == "statsynth.llm"]
+
+    assert len(server.requests) == 66
+    assert len(doc["logs"]) == 8
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == REQUEST_BYTES_SHA256

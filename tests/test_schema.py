@@ -49,6 +49,9 @@ def test_from_records_validates(tiny_schema):
     with pytest.raises(errors.OutOfBounds) as exc:
         Dataset.from_records(tiny_schema, [("red", 11.0)])
     assert exc.value.row == 0 and exc.value.column == 1
+    with pytest.raises(errors.OutOfBounds) as exc:
+        Dataset.from_records(tiny_schema, [("red", 1.5), ("red", 10**400)])
+    assert exc.value.row == 1 and exc.value.column == 1
     with pytest.raises(errors.TypeMismatch):
         Dataset.from_records(tiny_schema, [("red", "abc")])
     with pytest.raises(errors.TypeMismatch):
