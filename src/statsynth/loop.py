@@ -148,16 +148,10 @@ def _check_batch(proposals: Proposals, batch_size: int) -> None:
 #
 # The run history is kept once, in fsynced append-only logs: checkpoint/pool.csv
 # (CSV rows), metrics.jsonl and identity.jsonl (a JSON line per iteration).
-# manifest.json is the commit point: it names each log's committed length and
-# the SHA-256 of that prefix, and the SHA-256 of state.json (iteration and
-# config echo), which is staged as state.json.tmp and moved into place only
-# after the manifest that names it. Resume cuts each log back to its length.
-
-
-def _read(path: Path, size: int = -1) -> bytes:
-    """The file's first size bytes (all of it by default)."""
-    with open(path, "rb") as fh:
-        return fh.read(size)
+# manifest.json is the one commit point, written by temp file, fsync, rename
+# and directory fsync: it holds the iteration, the config echo, and each log's
+# committed length and the SHA-256 of that prefix. Resume cuts each log back
+# to its length.
 
 
 def _atomic_write(path: Path, data: str) -> None:
@@ -211,7 +205,7 @@ _ECHO_FIELDS = ("proposals_per_iter", "batch_size", "n_components", "seed")
 
 
 def checkpoint(state: LoopState, directory: str | Path, cfg: LoopConfig) -> None:
-    """Append the pool's new records, then commit every log, state and manifest.
+    """Append the pool's new records, then commit every log in the manifest.
 
     The state's pool log is created on first use; same state, same bytes.
     """
@@ -223,21 +217,16 @@ def checkpoint(state: LoopState, directory: str | Path, cfg: LoopConfig) -> None
             log = state.logs["pool.csv"] = AppendLog(directory / "pool.csv")
         log.append(csv_text(state.pool, log.rows).encode("utf-8"))
         log.rows = len(state.pool)
-        doc = {"iteration": state.iteration,
-               "config": {name: getattr(cfg, name) for name in _ECHO_FIELDS}}
-        state_bytes = json.dumps(doc, sort_keys=True).encode()
-        _write_synced(directory / "state.json.tmp", state_bytes)
         logs = {os.path.relpath(log.path, directory): log for log in state.logs.values()}
         manifest = {
-            "files": {"state.json": hashlib.sha256(state_bytes).hexdigest(),
-                      **{name: log.sha.hexdigest() for name, log in logs.items()}},
+            "iteration": state.iteration,
+            "config": {name: getattr(cfg, name) for name in _ECHO_FIELDS},
+            "files": {name: log.sha.hexdigest() for name, log in logs.items()},
             "bytes": {name: log.size for name, log in logs.items()},
         }
         _write_synced(directory / "manifest.json.tmp",
                       json.dumps(manifest, sort_keys=True).encode())
         os.replace(directory / "manifest.json.tmp", directory / "manifest.json")
-        _fsync_dir(directory)
-        os.replace(directory / "state.json.tmp", directory / "state.json")
         _fsync_dir(directory)
     except OSError as exc:
         raise errors.IoFailure(f"cannot write checkpoint to {directory}: {exc}") from exc
@@ -247,48 +236,40 @@ def resume(directory: str | Path, schema: VariableSchema, cfg: LoopConfig) -> Lo
     """Load and verify a checkpoint; the config must match the stored echo.
 
     Logs are cut back to their committed lengths and the history is read from
-    metrics.jsonl. An older checkpoint holds the history in state.json and
-    commits pool.csv alone (all of it without pool_bytes): metrics.jsonl is
-    rebuilt from it and identity.jsonl cut to its first iteration rows.
+    metrics.jsonl. A missing or mistyped manifest field raises CorruptCheckpoint.
     """
     directory = Path(directory)
     try:
         manifest = json.loads((directory / "manifest.json").read_text())
-        hashes = manifest["files"]
-        state_sha = hashes["state.json"]
-        legacy = "bytes" not in manifest
-        sizes = {"pool.csv": manifest.get("pool_bytes"), **manifest.get("bytes", {})}
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise errors.CorruptCheckpoint(f"no readable checkpoint manifest in {directory}") from exc
-    staged = directory / "state.json.tmp"
-    if staged.exists() and hashlib.sha256(_read(staged)).hexdigest() == state_sha:
-        # committed, but the move into place did not happen
-        os.replace(staged, directory / "state.json")
-    logs, committed = {}, {}  # each file's log and committed bytes, read once
-    # state.json is committed whole, like pool.csv without pool_bytes
-    for name, size in {"state.json": None, **sizes}.items():
-        path = directory / name
+    fields = {"iteration": int, "config": dict, "files": dict, "bytes": dict}
+    for key, kind in fields.items():
+        if type(manifest.get(key) if isinstance(manifest, dict) else None) is not kind:
+            raise errors.CorruptCheckpoint(
+                f"checkpoint manifest in {directory} has no {key!r} of type {kind.__name__}")
+    iteration, echo, hashes, sizes = (manifest[key] for key in fields)
+    logs, committed = {}, {}  # each log and its committed bytes, read once
+    for name in ("pool.csv", "../metrics.jsonl", "../identity.jsonl"):
+        path, size = directory / name, sizes.get(name)
         if not path.exists():
             raise errors.CorruptCheckpoint(f"checkpoint file missing: {name}")
         on_disk = path.stat().st_size
-        size = on_disk if size is None else size
-        if not isinstance(size, int) or not 0 <= size <= on_disk:
+        if type(size) is not int or not 0 <= size <= on_disk:
             raise errors.CorruptCheckpoint(
                 f"{name} ({on_disk} bytes) does not hold its committed {size!r} bytes")
-        data = _read(path, size)
-        logs[path.name] = AppendLog(path, size, hashlib.sha256(data))
+        with open(path, "rb") as fh:
+            committed[path.name] = fh.read(size)
+        logs[path.name] = AppendLog(path, size, hashlib.sha256(committed[path.name]))
         if logs[path.name].sha.hexdigest() != hashes.get(name):
             raise errors.CorruptCheckpoint(f"checkpoint hash mismatch for {name}")
-        if path.name != "identity.jsonl":  # parsed below
-            committed[path.name] = data
-    del logs["state.json"]
     try:
-        doc = json.loads(committed["state.json"])
-        iteration = int(doc["iteration"])
-        echo = doc["config"]
-        history = doc["history"] if legacy else []
-    except (ValueError, KeyError, TypeError) as exc:
-        raise errors.CorruptCheckpoint(f"unreadable state in {directory}") from exc
+        history = [json.loads(line) for line in committed["metrics.jsonl"].splitlines()]
+        if not all(type(row) is dict for row in history):
+            raise ValueError("a row is not a JSON object")
+    except ValueError as exc:
+        raise errors.CorruptCheckpoint(
+            f"committed metrics.jsonl rows in {directory.parent} are not JSON objects") from exc
     for name in _ECHO_FIELDS:
         if echo.get(name) != getattr(cfg, name):
             raise errors.ConfigError(
@@ -300,16 +281,8 @@ def resume(directory: str | Path, schema: VariableSchema, cfg: LoopConfig) -> Lo
     try:
         for log in logs.values():
             os.truncate(log.path, log.size)
-        if legacy:
-            kept = (directory.parent / "identity.jsonl").read_bytes().splitlines(True)[:iteration]
-            for name, lines in (("metrics.jsonl", map(_json_line, history)),
-                                ("identity.jsonl", kept)):
-                logs[name] = AppendLog(directory.parent / name)
-                logs[name].append(b"".join(lines))
     except OSError as exc:
         raise errors.IoFailure(f"cannot cut the logs back in {directory}: {exc}") from exc
-    if "metrics.jsonl" in committed:
-        history = [json.loads(line) for line in committed["metrics.jsonl"].splitlines()]
     pool = load_csv(logs["pool.csv"].path, schema, committed["pool.csv"])
     if len(pool) != iteration * cfg.batch_size:
         raise errors.CorruptCheckpoint(
@@ -327,7 +300,7 @@ class _Outputs:
 
     metrics.jsonl and identity.jsonl are append logs that each checkpoint
     commits with the pool; convergence.csv and components.json are derived
-    from history and rewritten per iteration.
+    from the history and written once, when run exits.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -346,11 +319,10 @@ class _Outputs:
         self.rewind(state)
 
     def rewind(self, state: LoopState) -> None:
-        """Take over the state's logs and rebuild the derived files from its history."""
+        """Take over the state's logs."""
         for name in ("metrics.jsonl", "identity.jsonl"):
             state.logs.setdefault(name, AppendLog(self.root / name))
         self.logs = state.logs
-        self.rewrite_derived(state.history)
 
     def append_metrics(self, row: dict) -> None:
         self.logs["metrics.jsonl"].append(_json_line(row))
@@ -407,7 +379,7 @@ def run(
 
     With out_dir set, every iteration appends to the run logs and refreshes
     the checkpoint, so a proposer failure at iteration t leaves iteration
-    t-1 fully recoverable.
+    t-1 fully recoverable; convergence.csv and components.json follow on exit.
     """
     if len(real) == 0:
         raise errors.EmptyDataset("need a non-empty real dataset")
@@ -422,64 +394,67 @@ def run(
     elif outputs is not None:
         outputs.reset(state)
 
-    specs = fit_all_bins(real)
-    real_codes = encode(real, specs)
-    pool_codes = encode(state.pool, specs)
-    real_marginals = compute_summaries(real_codes, specs)
-    for t in range(state.iteration + 1, cfg.iterations + 1):
-        components = proposer.infer_components(ComponentContext(
-            schema, real, real_marginals, specs,
-            n_components=cfg.n_components,
-            seed=_iteration_seed(cfg.seed, t, 1),
-            batch_size=cfg.batch_size,
-        ))
-        real_sum, pool_sum = evaluation_summaries(real_codes, pool_codes, specs, components)
-        refined = pool_sum.refined
-        steering = compute_report(real_sum, pool_sum)
-        proposals = proposer.propose(ProposerContext(
-            schema=schema,
-            real_summaries=real_sum,
-            report=steering,
-            components=tuple(components),
-            k=cfg.proposals_per_iter,
-            batch_size=cfg.batch_size,
-            pool_size=len(state.pool),
-            bin_specs=specs,
-            seed=_iteration_seed(cfg.seed, t, 5),
-            guidance=guidance,
-            real_codes=real_codes,
-        ))
-        _check_batch(proposals, cfg.batch_size)
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, t, 6)))
-        batch = sample_batch(proposals, rng)
-        batch_codes = encode(batch, specs)
-        state.pool = concat(state.pool, batch)
-        pool_codes = pool_codes.append(batch_codes)
+    try:
+        specs = fit_all_bins(real)
+        real_codes = encode(real, specs)
+        pool_codes = encode(state.pool, specs)
+        real_marginals = compute_summaries(real_codes, specs)
+        for t in range(state.iteration + 1, cfg.iterations + 1):
+            components = proposer.infer_components(ComponentContext(
+                schema, real, real_marginals, specs,
+                n_components=cfg.n_components,
+                seed=_iteration_seed(cfg.seed, t, 1),
+                batch_size=cfg.batch_size,
+            ))
+            real_sum, pool_sum = evaluation_summaries(real_codes, pool_codes, specs, components)
+            refined = pool_sum.refined
+            steering = compute_report(real_sum, pool_sum)
+            proposals = proposer.propose(ProposerContext(
+                schema=schema,
+                real_summaries=real_sum,
+                report=steering,
+                components=tuple(components),
+                k=cfg.proposals_per_iter,
+                batch_size=cfg.batch_size,
+                pool_size=len(state.pool),
+                bin_specs=specs,
+                seed=_iteration_seed(cfg.seed, t, 5),
+                guidance=guidance,
+                real_codes=real_codes,
+            ))
+            _check_batch(proposals, cfg.batch_size)
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, t, 6)))
+            batch = sample_batch(proposals, rng)
+            batch_codes = encode(batch, specs)
+            state.pool = concat(state.pool, batch)
+            pool_codes = pool_codes.append(batch_codes)
 
-        real_eval, pool_eval = evaluation_summaries(real_codes, pool_codes, specs, components)
-        reported = compute_report(real_eval, pool_eval)
-        row: dict = {
-            "iteration": t,
-            "w": 1.0 / t,
-            "mean_tvd": reported.mean_tvd,
-            "units": {name: unit.value for name, unit in reported.units.items()},
-            "components": [list(c.variables) for c in components],
-        }
-        # cadence-anchored (not horizon-anchored) so a resumed run logs the
-        # same rows an uninterrupted one would
-        if cfg.full_metrics_every and t % cfg.full_metrics_every == 0:
-            row["full"] = metric_suite(real, state.pool, components)
-        state.history.append(row)
-        state.iteration = t
+            real_eval, pool_eval = evaluation_summaries(real_codes, pool_codes, specs, components)
+            reported = compute_report(real_eval, pool_eval)
+            row: dict = {
+                "iteration": t,
+                "w": 1.0 / t,
+                "mean_tvd": reported.mean_tvd,
+                "units": {name: unit.value for name, unit in reported.units.items()},
+                "components": [list(c.variables) for c in components],
+            }
+            # cadence-anchored (not horizon-anchored) so a resumed run logs the
+            # same rows an uninterrupted one would
+            if cfg.full_metrics_every and t % cfg.full_metrics_every == 0:
+                row["full"] = metric_suite(real, state.pool, components)
+            state.history.append(row)
+            state.iteration = t
 
+            if outputs is not None:
+                batch_sum = compute_summaries(batch_codes, specs, components, refined)
+                after_sum = compute_summaries(pool_codes, specs, components, refined)
+                outputs.append_metrics(row)
+                outputs.append_identity(_identity_row(
+                    t, pool_sum, batch_sum, after_sum, unit_labels(pool_sum, schema, specs)))
+                checkpoint(state, outputs.checkpoint_dir, cfg)
+    finally:
         if outputs is not None:
-            batch_sum = compute_summaries(batch_codes, specs, components, refined)
-            after_sum = compute_summaries(pool_codes, specs, components, refined)
-            outputs.append_metrics(row)
-            outputs.append_identity(_identity_row(
-                t, pool_sum, batch_sum, after_sum, unit_labels(pool_sum, schema, specs)))
             outputs.rewrite_derived(state.history)
-            checkpoint(state, outputs.checkpoint_dir, cfg)
 
     if outputs is not None:
         try:

@@ -428,13 +428,13 @@ def test_criterion_09_llm_robustness(tmp_path_factory):
         result = _synthesize_via(server, root, "abort", 3)
         if result.returncode != 3:
             problems.append(f"always-malformed exited {result.returncode}, wanted 3")
-        state_path = root / "abort" / "checkpoint" / "state.json"
-        if not state_path.exists():
+        manifest_path = root / "abort" / "checkpoint" / "manifest.json"
+        if not manifest_path.exists():
             problems.append("no checkpoint after abort")
         else:
-            state = json.loads(state_path.read_text())
-            if state["iteration"] != 1:
-                problems.append(f"checkpoint at iteration {state['iteration']}, wanted 1")
+            manifest = json.loads(manifest_path.read_text())
+            if manifest["iteration"] != 1:
+                problems.append(f"checkpoint at iteration {manifest['iteration']}, wanted 1")
             schema_doc = load_csv(root / "abort" / "checkpoint" / "pool.csv",
                                   generate(PARAMS, 1, seed=0).schema)
             if len(schema_doc) != 20:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, driven through subprocesses."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -126,6 +127,22 @@ def test_synthesize_resume_completes_run(tmp_path, ref_paths):
     assert len(load_csv(out / "pool.csv", schema)) == 5 * 30
     rows = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
     assert [r["iteration"] for r in rows] == [1, 2, 3, 4, 5]
+
+
+def test_synthesize_resume_refuses_older_checkpoint_layout(tmp_path, ref_paths):
+    # the layout whose state.json held the iteration and the config echo
+    out = tmp_path / "run"
+    first = run_cli(*synthesize_args(ref_paths, out, iterations=2))
+    assert first.returncode == 0, first.stderr
+    manifest = json.loads((out / "checkpoint" / "manifest.json").read_text())
+    state = json.dumps({key: manifest.pop(key) for key in ("iteration", "config")},
+                       sort_keys=True).encode()
+    (out / "checkpoint" / "state.json").write_bytes(state)
+    manifest["files"]["state.json"] = hashlib.sha256(state).hexdigest()
+    (out / "checkpoint" / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
+    result = run_cli(*synthesize_args(ref_paths, out, iterations=3), "--resume")
+    assert result.returncode == 2
+    assert "'iteration'" in result.stderr and "Traceback" not in result.stderr
 
 
 def test_synthesize_resume_without_checkpoint(tmp_path, ref_paths):
@@ -278,9 +295,9 @@ def test_llm_failure_exits_3_and_keeps_checkpoint(tmp_path, ref_paths):
                          "--model", "scripted",
                          env_extra={TOKEN_ENV: "dummy-token"})
     assert result.returncode == 3, result.stderr
-    state = json.loads(
-        (tmp_path / "run" / "checkpoint" / "state.json").read_text())
-    assert state["iteration"] == 1
+    manifest = json.loads(
+        (tmp_path / "run" / "checkpoint" / "manifest.json").read_text())
+    assert manifest["iteration"] == 1
     pool = load_csv(tmp_path / "run" / "checkpoint" / "pool.csv", schema)
     assert len(pool) == 30
 

@@ -418,8 +418,9 @@ def test_checkpoint_twice_is_identical(tmp_path, real_small):
     checkpoint(state, tmp_path, cfg)
     second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert first == second
-    # the history lives in metrics.jsonl, not in the checkpoint
-    assert set(json.loads(first["state.json"])) == {"iteration", "config"}
+    # the manifest alone commits: the history lives in metrics.jsonl
+    assert set(first) == {"pool.csv", "manifest.json"}
+    assert set(json.loads(first["manifest.json"])) == {"iteration", "config", "files", "bytes"}
 
 
 def test_resume_reproduces_uninterrupted_run(tmp_path, real_small):
@@ -441,56 +442,12 @@ def test_resume_accepts_echo_of_removed_fields(tmp_path, real_small):
     cfg = small_cfg(iterations=6)
     run(real_small, cfg, OracleProposer(), tmp_path / "straight")
     run(real_small, small_cfg(iterations=3), OracleProposer(), tmp_path / "resumed")
-    ckpt = tmp_path / "resumed" / "checkpoint"
-    doc = json.loads((ckpt / "state.json").read_text())
-    doc["config"].update(tolerance=0.01, threshold=0.05, n_bins=6, cache_components=False)
-    (ckpt / "state.json").write_text(json.dumps(doc, sort_keys=True))
-    manifest = json.loads((ckpt / "manifest.json").read_text())
-    manifest["files"]["state.json"] = hashlib.sha256(
-        (ckpt / "state.json").read_bytes()).hexdigest()
-    (ckpt / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
+    manifest_path = tmp_path / "resumed" / "checkpoint" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"].update(tolerance=0.01, threshold=0.05, n_bins=6, cache_components=False)
+    manifest_path.write_text(json.dumps(manifest, sort_keys=True))
     run(real_small, cfg, OracleProposer(), tmp_path / "resumed", resume_from_checkpoint=True)
     assert_same_outputs(tmp_path / "straight", tmp_path / "resumed")
-
-
-def _rewrite_as_legacy(run_dir, pool_bytes: bool) -> None:
-    """Rewrite a run's checkpoint as the format from before the logs were
-    committed: the history inside state.json, a manifest naming only pool.csv
-    and state.json, its pool length in pool_bytes or (older still) nowhere."""
-    ckpt = run_dir / "checkpoint"
-    doc = json.loads((ckpt / "state.json").read_text())
-    doc["history"] = [json.loads(line)
-                      for line in (run_dir / "metrics.jsonl").read_text().splitlines()]
-    (ckpt / "state.json").write_text(json.dumps(doc, sort_keys=True))
-    manifest = {"files": {name: hashlib.sha256((ckpt / name).read_bytes()).hexdigest()
-                          for name in ("pool.csv", "state.json")}}
-    if pool_bytes:
-        manifest["pool_bytes"] = (ckpt / "pool.csv").stat().st_size
-    (ckpt / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
-
-
-def test_resume_accepts_manifest_without_pool_bytes(tmp_path, real_small):
-    # checkpoints written before the logs were committed still resume, with
-    # pool_bytes and from before the pool was append-only, without it
-    cfg = small_cfg(iterations=6)
-    run(real_small, cfg, OracleProposer(), tmp_path / "straight")
-    run(real_small, small_cfg(iterations=3), OracleProposer(), tmp_path / "leg")
-    fourth = (tmp_path / "straight" / "identity.jsonl").read_bytes().splitlines(True)[3]
-    for pool_bytes in (True, False):
-        out = tmp_path / f"legacy_{pool_bytes}"
-        shutil.copytree(tmp_path / "leg", out)
-        _rewrite_as_legacy(out, pool_bytes)
-        # what a kill after iteration 4's log appends left: resume drops it
-        with open(out / "identity.jsonl", "ab") as fh:
-            fh.write(fourth + b'{"iteration": 5, "w"')
-        with open(out / "metrics.jsonl", "ab") as fh:
-            fh.write(b'{"iteration": 4, "mean')
-        if pool_bytes:
-            with open(out / "checkpoint" / "pool.csv", "ab") as fh:
-                fh.write(b"Male,half a row")
-        run(real_small, cfg, OracleProposer(), out, resume_from_checkpoint=True)
-        assert_same_outputs(tmp_path / "straight", out)
-        assert "history" not in json.loads((out / "checkpoint" / "state.json").read_text())
 
 
 def test_resume_discards_uncommitted_pool_tail(tmp_path, real_small):
@@ -571,10 +528,9 @@ class _KillSwitch:
 
 def test_kill_at_every_checkpoint_step_then_resume(tmp_path, real_small, monkeypatch):
     # a resumed leg (iterations 3-4) is killed in iteration 3 after each of
-    # its durable steps in turn: the metrics and identity appends, the derived
-    # logs' renames, the pool append, the staged state.json, the staged
-    # manifest, the renames, the directory syncs. Resuming must then finish
-    # exactly like an uninterrupted run.
+    # its durable steps in turn: the metrics, identity and pool appends, the
+    # staged manifest, its rename and the directory sync. Resuming must then
+    # finish exactly like an uninterrupted run.
     cfg = small_cfg(iterations=4)
     run(real_small, cfg, OracleProposer(), tmp_path / "straight")
     run(real_small, small_cfg(iterations=2), OracleProposer(), tmp_path / "leg1")
@@ -598,9 +554,8 @@ def test_kill_at_every_checkpoint_step_then_resume(tmp_path, real_small, monkeyp
             break
         run(real_small, cfg, OracleProposer(), out, resume_from_checkpoint=True)
         assert_same_outputs(tmp_path / "straight", out)
-    # two log appends, the pool append, state and manifest staged, both
-    # checkpoint renames: at least seven
-    assert len(switch.steps) == nth - 1 >= 7, switch.steps
+    assert len(switch.steps) == nth - 1
+    assert switch.steps == ["fsync", "fsync", "fsync", "fsync", "replace", "fsync"]
 
 
 def test_final_pool_csv_is_save_csv_of_returned_pool(tmp_path):
@@ -642,6 +597,35 @@ def test_resume_detects_tampered_pool(tmp_path, real_small):
             resume(out / "checkpoint", real_small.schema, small_cfg(iterations=2))
 
 
+def _recommit_metrics(manifest: dict, run_dir, data: bytes) -> None:
+    """Replace metrics.jsonl by data and commit it in the manifest."""
+    (run_dir / "metrics.jsonl").write_bytes(data)
+    manifest["files"]["../metrics.jsonl"] = hashlib.sha256(data).hexdigest()
+    manifest["bytes"]["../metrics.jsonl"] = len(data)
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda m, d: m.update(iteration="2"),
+    lambda m, d: m.pop("iteration"),
+    lambda m, d: m.update(config=[]),
+    lambda m, d: m.update(files=[]),
+    lambda m, d: m["bytes"].pop("../identity.jsonl"),
+    lambda m, d: m["bytes"].update({"pool.csv": "12"}),
+    lambda m, d: _recommit_metrics(m, d, b"not json\n"),
+    lambda m, d: _recommit_metrics(m, d, b"[1]\n"),
+], ids=["iteration_text", "iteration_missing", "config_list", "files_list",
+        "bytes_without_identity", "bytes_text", "metrics_not_json", "metrics_not_object"])
+def test_resume_refuses_wrongly_shaped_checkpoint(tmp_path, real_small, spoil):
+    # hashes match, but a value resume reads has the wrong type
+    run(real_small, small_cfg(iterations=2), OracleProposer(), tmp_path)
+    manifest_path = tmp_path / "checkpoint" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    spoil(manifest, tmp_path)
+    manifest_path.write_text(json.dumps(manifest, sort_keys=True))
+    with pytest.raises(errors.CorruptCheckpoint):
+        resume(tmp_path / "checkpoint", real_small.schema, small_cfg())
+
+
 def test_resume_rejects_config_drift(tmp_path, real_small):
     run(real_small, small_cfg(iterations=2), OracleProposer(), tmp_path)
     with pytest.raises(errors.ConfigError):
@@ -666,6 +650,9 @@ def test_proposer_failure_leaves_checkpoint_intact(tmp_path, real_small):
     cfg = small_cfg(iterations=6)
     with pytest.raises(errors.LlmUnavailable):
         run(real_small, cfg, FailsAtFour(), tmp_path)
+    # the derived files hold iterations 1-3
+    assert len((tmp_path / "convergence.csv").read_text().splitlines()) == 1 + 3
+    assert len(json.loads((tmp_path / "components.json").read_text())) == 3
     state = resume(tmp_path / "checkpoint", real_small.schema, cfg)
     assert state.iteration == 3
     assert len(state.pool) == 3 * cfg.batch_size
@@ -673,3 +660,32 @@ def test_proposer_failure_leaves_checkpoint_intact(tmp_path, real_small):
     pool, history = run(real_small, cfg, OracleProposer(), tmp_path,
                         resume_from_checkpoint=True)
     assert len(pool) == 6 * cfg.batch_size
+
+
+def test_resume_at_checkpoint_iteration_writes_derived_files(tmp_path, real_small):
+    # a kill after the last checkpoint leaves the derived files stale or
+    # missing; a resume with nothing left to run still writes them
+    cfg = small_cfg(iterations=3)
+    run(real_small, cfg, OracleProposer(), tmp_path / "straight")
+    shutil.copytree(tmp_path / "straight", tmp_path / "resumed")
+    for name in ("convergence.csv", "components.json"):
+        (tmp_path / "resumed" / name).unlink()
+    run(real_small, cfg, OracleProposer(), tmp_path / "resumed", resume_from_checkpoint=True)
+    assert_same_outputs(tmp_path / "straight", tmp_path / "resumed")
+
+
+def test_derived_write_failure_replaces_proposer_error(tmp_path, real_small, monkeypatch):
+    class FailsAtTwo(OracleProposer):
+        def propose(self, ctx: ProposerContext):
+            if ctx.pool_size:
+                raise errors.LlmUnavailable("endpoint went away")
+            return super().propose(ctx)
+
+    def no_space(outputs, history):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(loop._Outputs, "rewrite_derived", no_space)
+    with pytest.raises(OSError) as raised:
+        run(real_small, small_cfg(), FailsAtTwo(), tmp_path)
+    assert isinstance(raised.value.__context__, errors.LlmUnavailable)
+    assert resume(tmp_path / "checkpoint", real_small.schema, small_cfg()).iteration == 1
